@@ -57,7 +57,7 @@ pub use localize::{
     EpochEvidence, Localization, Localizer, LocalizerSnapshot, PARTIAL_DECODE_CONFIDENCE,
 };
 
-use chm_netsim::{FatTree, SimConfig, SiteArray, Simulator, Topology};
+use chm_netsim::{FatTree, ShardedReplay, Sharding, SimConfig, Simulator, Topology};
 use chm_netsim::sim::{EpochReport, Routable};
 use chm_workloads::{LossPlan, Trace};
 
@@ -72,8 +72,11 @@ pub struct ChameleMon<F: chm_common::FlowId> {
     pub edges: Vec<EdgeDataPlane<F>>,
     /// The central controller.
     pub controller: Controller<F>,
-    /// The packet-level simulator standing in for the testbed fabric.
+    /// The packet-level simulator standing in for the testbed fabric: its
+    /// topology and epoch/seed state.
     pub simulator: Simulator,
+    /// The replay engine (one shard).
+    engine: ShardedReplay<F>,
 }
 
 /// Everything produced by one epoch: the simulator's ground truth and the
@@ -114,6 +117,7 @@ impl<F: chm_common::FlowId> ChameleMon<F> {
             edges,
             controller: Controller::new(cfg),
             simulator: Simulator::new(topology, sim),
+            engine: ShardedReplay::new(Sharding::single()),
         }
     }
 
@@ -159,14 +163,11 @@ impl<F: chm_common::FlowId> ChameleMon<F> {
         F: Routable,
     {
         let config_in_effect = *self.controller.deployed_runtime();
-        let report = {
-            // `EdgeDataPlane` implements `chm_netsim::EdgeSite`; `SiteArray`
-            // adapts the edge slice to the simulator's hook traits.
-            let mut hooks = SiteArray(&mut self.edges);
-            // Burst replay: one hook call per flow, sketch state identical
-            // to the per-packet path (see `TowerSketch::insert_burst`).
-            self.simulator.run_epoch_burst(trace, plan, &mut hooks)
-        };
+        // Burst replay (`EdgeDataPlane` is a `chm_netsim::EdgeSite`): one
+        // site call per flow, sketch state identical to the per-packet path
+        // (see `TowerSketch::insert_burst`).
+        let report =
+            self.engine.run_epoch_burst(&mut self.simulator, trace, plan, &mut self.edges);
         let ts_bit = (report.epoch & 1) as u8;
         // Epoch ended: the controller takes the monitoring groups whole —
         // `mem::replace` hands it owned snapshots, nothing is copied.

@@ -15,9 +15,14 @@
 //!   1-bit epoch timestamp logic of Appendix B;
 //! * [`collect`] — the collection cost model of Appendix D.2/F (per-sketch
 //!   collection times, per-epoch bandwidth);
-//! * [`sim`] — the packet loop: replays a trace through ingress hooks,
-//!   drop decisions, and egress hooks, epoch by epoch, attributing every
-//!   drop to the switch that caused it;
+//! * [`sim`] — the [`EdgeSite`] trait every edge data plane implements,
+//!   and the serial [`Simulator`]: topology plus epoch/seed state, and the
+//!   single-threaded replay paths (per-packet and burst) kept as the
+//!   reference oracle the differential suites compare the engine against;
+//! * [`shard`] — the replay engine production runs: [`ShardedReplay`]
+//!   partitions each epoch's flows by ingress edge, replays them in
+//!   bursts (one shard by default), and merges a byte-identical
+//!   [`EpochReport`];
 //! * [`congestion`] — the per-link congestion model: offered load from
 //!   every flow's ECMP route, utilization-driven drop probabilities,
 //!   structural derates (incast ToRs, browned-out cores, rolling
@@ -54,11 +59,8 @@ pub use impair::{
 };
 pub use collect::CollectionModel;
 pub use queue::{QueueDepthStat, QueueLinkStats, QueueModel, QueueRealization, RedDrop};
-pub use shard::{
-    merge_fragments, EdgeSite, ReportFragment, ShardTiming, ShardedReplay, Sharding,
-    SiteArray,
-};
-pub use sim::{BurstHooks, EdgeHooks, EpochReport, SimConfig, Simulator};
+pub use shard::{merge_fragments, ReportFragment, ShardTiming, ShardedReplay, Sharding};
+pub use sim::{EdgeSite, EpochReport, SimConfig, Simulator, SiteArray};
 pub use topology::{
     Fabric, FatTree, KaryFatTree, LeafSpine, SwitchId, SwitchRole, Topology, WanGraph,
 };

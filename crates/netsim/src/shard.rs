@@ -1,13 +1,21 @@
-//! The sharded epoch pipeline: intra-trial parallel replay.
+//! The sharded epoch pipeline: the replay engine production runs.
 //!
-//! [`Simulator`]'s four replay paths walk a trace single-threaded. This
-//! module partitions the same work by **ingress edge** — every flow is
-//! pinned to the shard that owns `edge_of_host(src)` — and replays the
-//! shards on scoped threads, merging per-shard [`ReportFragment`]s into the
-//! identical [`EpochReport`]. The contract is *byte-identity at any shard
-//! count*: report, drop attribution, and sketch-group state all match the
-//! unsharded replay bit for bit (pinned by `tests/shard_differential.rs`
-//! and the scenario-matrix suite in `chm_scenarios`).
+//! Every runtime — `ChameleMon::run_epoch`, the scenario stack, and the
+//! `chm-serve` service — replays each epoch through a [`ShardedReplay`] it
+//! owns, one shard by default. [`Simulator`]'s replay paths stay beside it
+//! as the serial oracle the differential suites compare against (its
+//! per-packet paths are test-only references). This module partitions the
+//! work by **ingress edge** — every flow is pinned to the shard that owns
+//! `edge_of_host(src)` — and replays the shards on scoped threads, merging
+//! per-shard [`ReportFragment`]s into the identical [`EpochReport`]. The
+//! contract is *byte-identity at any shard count*: report, drop
+//! attribution, and sketch-group state all match the serial oracle bit for
+//! bit (pinned by `tests/shard_differential.rs` and the scenario-matrix
+//! suite in `chm_scenarios`).
+//!
+//! The engine is burst-only: one [`EdgeSite`] ingress call per flow
+//! segment and one weighted egress call per tag run. Burst replay is
+//! state-identical to per-packet replay, which the serial oracle pins.
 //!
 //! # Why edge-partitioning is exact
 //!
@@ -15,13 +23,16 @@
 //!   per-packet hierarchy decision depends on the flow's size *so far* at
 //!   its ingress edge. Partitioning by ingress edge keeps every edge's
 //!   ingress stream on exactly one shard, in preserved trace order — the
-//!   same call sequence the unsharded loop issues.
+//!   same call sequence the serial loop issues.
 //! * **Egress state is commutative.** Egress writes are modular adds into
 //!   the downstream encoders plus a packet counter; no egress read feeds a
-//!   later ingress decision. Shards therefore record egress work as
-//!   run-length-encoded `EgressRun`s in per-destination-shard outboxes
-//!   (phase A), and the owning shard applies them in deterministic
-//!   (source-shard, record) order after a barrier (phase B).
+//!   later ingress decision. A shard therefore applies an egress run at
+//!   once when its destination site is its own (phase A, interleaved with
+//!   ingress exactly as the serial loop does), and records every other run
+//!   as an `EgressRun` (one weighted egress) in the destination shard's
+//!   outbox.
+//!   The owning shard applies those in deterministic (source-shard, record)
+//!   order after a barrier (phase B). A one-shard epoch buffers nothing.
 //! * **Randomness is split-seed.** Loss plans realize in a serial prologue
 //!   (one global RNG stream, untouched); per-flow impairment fates are pure
 //!   functions of `(seed, epoch_seed, flow_key)` — the same discipline that
@@ -40,18 +51,19 @@
 //! `workers` only scales execution — any worker count replays the same
 //! shard set in the same per-shard order, so it never affects output.
 //!
-//! Timing is injected: [`ShardedReplay::run_epoch_burst_timed`] (and the
-//! other `_timed` variants) accept a monotonic-seconds closure from the
-//! caller, because only `crates/bench` may read wall clocks. Per-shard
-//! phase times make the scaling curve honest on any builder: the critical
-//! path `prologue + max(phase A) + max(phase B) + merge` is what an
-//! `n`-core machine would pay.
+//! Timing is injected: [`ShardedReplay::run_epoch_burst_timed`] and
+//! [`ShardedReplay::run_epoch_burst_scenario_timed`] accept a
+//! monotonic-seconds closure from the caller, because only `crates/bench`
+//! may read wall clocks. Per-shard phase times make the scaling curve
+//! honest on any builder: the critical path
+//! `prologue + max(phase A) + max(phase B) + merge` is what an `n`-core
+//! machine would pay.
 
 use crate::impair::{ImpairmentSet, LinkLoss};
 use crate::queue::QueueDepthStat;
 use crate::sim::{
-    attribute_fates, attribute_spread, spread_drop, spread_drop_prefix, BurstHooks,
-    EdgeHooks, EpochReport, Routable, Simulator,
+    attribute_fates, attribute_spread, spread_drop_prefix, EdgeSite, EpochReport, Routable,
+    Simulator,
 };
 use crate::topology::{SwitchId, Topology};
 use crate::{CongestionRealization, FabricFates, QueueRealization};
@@ -59,50 +71,6 @@ use chm_common::FlowId;
 use chm_obs::SpanProfiler;
 use chm_workloads::{LossPlan, Trace};
 use std::collections::{BTreeMap, HashMap};
-
-/// One edge switch's measurement pipeline, as the sharded replay drives it.
-///
-/// This is the per-site twin of [`EdgeHooks`]/[`BurstHooks`]: the same four
-/// operations without the `edge` index (the shard already holds the site it
-/// owns). `Send` is required so shards can carry their sites across scoped
-/// threads. Blanket adapters go the other way: [`SiteArray`] presents a
-/// `&mut [E]` of sites as `EdgeHooks`/`BurstHooks` for the serial replay
-/// paths, so one implementation serves both engines.
-pub trait EdgeSite<F>: Send {
-    /// Packet of `f` enters the network here; returns the carried 2-bit tag.
-    fn site_ingress(&mut self, f: &F, ts_bit: u8) -> u8;
-    /// Packet of `f` exits the network here.
-    fn site_egress(&mut self, f: &F, ts_bit: u8, tag: u8);
-    /// Burst ingress: `pkts` packets of `f`, tag runs in packet order.
-    fn site_ingress_burst(&mut self, f: &F, ts_bit: u8, pkts: u64) -> [(u8, u64); 3];
-    /// Burst egress for `delivered` packets of one tag run.
-    fn site_egress_burst(&mut self, f: &F, ts_bit: u8, tag: u8, delivered: u64);
-}
-
-/// Presents a slice of [`EdgeSite`]s as the [`EdgeHooks`]/[`BurstHooks`]
-/// pair the serial [`Simulator`] paths expect — the shared replacement for
-/// the per-crate `EdgeArray` adapters that used to live in `chamelemon`,
-/// `chm_scenarios`, and `chm_serve`.
-pub struct SiteArray<'a, E>(pub &'a mut [E]);
-
-impl<F, E: EdgeSite<F>> EdgeHooks<F> for SiteArray<'_, E> {
-    fn on_ingress(&mut self, edge: usize, f: &F, ts_bit: u8) -> u8 {
-        self.0[edge].site_ingress(f, ts_bit)
-    }
-    fn on_egress(&mut self, edge: usize, f: &F, ts_bit: u8, tag: u8) {
-        self.0[edge].site_egress(f, ts_bit, tag)
-    }
-}
-
-impl<F, E: EdgeSite<F>> BurstHooks<F> for SiteArray<'_, E> {
-    fn on_ingress_burst(&mut self, edge: usize, f: &F, ts_bit: u8, pkts: u64)
-        -> [(u8, u64); 3] {
-        self.0[edge].site_ingress_burst(f, ts_bit, pkts)
-    }
-    fn on_egress_burst(&mut self, edge: usize, f: &F, ts_bit: u8, tag: u8, delivered: u64) {
-        self.0[edge].site_egress_burst(f, ts_bit, tag, delivered)
-    }
-}
 
 /// How a trial is sharded.
 ///
@@ -211,17 +179,22 @@ fn merge_one<F: Copy + Eq + std::hash::Hash>(
 }
 
 /// The deterministic, order-independent reduction of per-shard fragments
-/// into one [`EpochReport`]. Fragments are drained (capacity kept). The
-/// result is invariant under any permutation of `frags` as long as the
-/// per-flow key sets are disjoint — which the ingress-edge partition
-/// guarantees and the proptest in `tests/shard_differential.rs` pins.
+/// into one [`EpochReport`]. The first fragment's maps move into the report
+/// (nothing is copied, so a one-shard epoch holds its report once); the
+/// rest are drained into it with their capacity kept. The result is
+/// invariant under any permutation of `frags` as long as the per-flow key
+/// sets are disjoint — which the ingress-edge partition guarantees and the
+/// proptest in `tests/shard_differential.rs` pins.
 pub fn merge_fragments<F: FlowId>(
     epoch: u64,
     queue_depth: BTreeMap<SwitchId, QueueDepthStat>,
     frags: &mut [ReportFragment<F>],
 ) -> EpochReport<F> {
-    let mut acc = ReportFragment::default();
-    for frag in frags.iter_mut() {
+    let (mut acc, rest) = match frags.split_first_mut() {
+        Some((first, rest)) => (std::mem::take(first), rest),
+        None => (ReportFragment::default(), frags),
+    };
+    for frag in rest.iter_mut() {
         merge_one(&mut acc, frag);
     }
     EpochReport {
@@ -243,9 +216,10 @@ pub struct ShardTiming {
     /// Serial prologue: plan application, queue/congestion realization, and
     /// the flow partition — work every shard layout pays once.
     pub prologue_s: f64,
-    /// Per-shard phase-A (ingress + fragment accounting) times.
+    /// Per-shard phase-A (ingress, same-shard egress, and fragment
+    /// accounting) times.
     pub phase_a: Vec<f64>,
-    /// Per-shard phase-B (egress inbox drain) times.
+    /// Per-shard phase-B (cross-shard egress inbox drain) times.
     pub phase_b: Vec<f64>,
     /// Serial fragment merge.
     pub merge_s: f64,
@@ -324,9 +298,9 @@ impl ShardFlows {
     }
 }
 
-/// One egress work record: `pkts` packets of `f` leaving through the
-/// destination shard's site `edge_local`, all carrying the same timestamp
-/// bit and tag (run-length encoding of consecutive identical egress calls).
+/// One cross-shard egress work record: `pkts` packets of `f` leaving
+/// through the destination shard's site `edge_local`, all carrying the same
+/// timestamp bit and tag (one burst egress call).
 #[derive(Debug, Clone, Copy)]
 struct EgressRun<F> {
     edge_local: u32,
@@ -337,8 +311,9 @@ struct EgressRun<F> {
 }
 
 /// Per-shard reusable working state: the egress outboxes (one per
-/// destination shard), the report fragment, and the per-flow scratch
-/// buffers the serial replay paths keep as locals.
+/// destination shard; a shard's own stays empty), the report fragment,
+/// and the per-flow scratch buffers the serial replay paths keep as
+/// locals.
 #[derive(Debug)]
 struct ShardScratch<F> {
     outbox: Vec<Vec<EgressRun<F>>>,
@@ -368,120 +343,47 @@ struct FlowArgs<F> {
     f: F,
     pkts: u64,
     in_edge: usize,
+    in_local: usize,
     out_shard: usize,
     out_local: u32,
+    /// The egress site belongs to the shard replaying this flow.
+    local_egress: bool,
 }
 
-/// Run-length emitter: merges consecutive egress packets with identical
-/// `(ts, tag)` into one [`EgressRun`] so per-packet replay ships runs, not
-/// packets, across the shard boundary.
-struct RunEmitter {
+/// Issues one burst egress run of flow `a`: applied at once when its site
+/// is owned by this shard, otherwise queued in the destination shard's
+/// outbox for phase B. Zero-delivery runs are skipped: a weight-0 egress
+/// is a state no-op on every data plane.
+// chm-lint: hot
+#[inline]
+fn egress_run<F: Copy, E: EdgeSite<F>>(
+    a: &FlowArgs<F>,
+    sites: &mut [&mut E],
+    sc: &mut ShardScratch<F>,
     ts: u8,
     tag: u8,
-    count: u64,
-}
-
-impl RunEmitter {
-    fn start() -> Self {
-        RunEmitter { ts: 0, tag: 0, count: 0 }
-    }
-
-    // chm-lint: hot
-    #[inline]
-    fn emit<F: FlowId>(
-        &mut self,
-        ob: &mut Vec<EgressRun<F>>,
-        edge_local: u32,
-        f: &F,
-        ts: u8,
-        tag: u8,
-        n: u64,
-    ) {
-        if self.count > 0 && self.ts == ts && self.tag == tag {
-            self.count += n;
-            return;
-        }
-        self.flush(ob, edge_local, f);
-        self.ts = ts;
-        self.tag = tag;
-        self.count = n;
-    }
-
-    // chm-lint: hot
-    #[inline]
-    fn flush<F: FlowId>(&mut self, ob: &mut Vec<EgressRun<F>>, edge_local: u32, f: &F) {
-        if self.count > 0 {
-            ob.push(EgressRun {
-                edge_local,
-                ts: self.ts,
-                tag: self.tag,
-                f: *f,
-                pkts: self.count,
-            });
-            self.count = 0;
-        }
-    }
-}
-
-/// Phase-A body of the clean per-packet path — the sharded twin of the flow
-/// loop in [`Simulator::run_epoch`].
-// chm-lint: hot
-#[allow(clippy::too_many_arguments)]
-fn clean_flow_per_packet<F: Routable, E: EdgeSite<F>>(
-    a: FlowArgs<F>,
-    n_lost: u64,
-    ts_bit: u8,
-    epoch_seed: u64,
-    topo: &Topology,
-    site: &mut E,
-    sc: &mut ShardScratch<F>,
+    pkts: u64,
 ) {
-    let f = &a.f;
-    let pkts = a.pkts;
-    topo.route_into(f.src_host(), f.dst_host(), f.key64(), &mut sc.route);
-    *sc.frag.hops_histogram.entry(sc.route.len()).or_insert(0) += pkts;
-    let mut em = RunEmitter::start();
-    if n_lost == 0 {
-        // Lossless fast path, exactly as the serial loop takes it.
-        for _ in 0..pkts {
-            let tag = site.site_ingress(f, ts_bit);
-            em.emit(&mut sc.outbox[a.out_shard], a.out_local, f, ts_bit, tag, 1);
-        }
-        em.flush(&mut sc.outbox[a.out_shard], a.out_local, f);
+    if pkts == 0 {
         return;
     }
-    attribute_spread(
-        f,
-        f.key64(),
-        pkts,
-        n_lost,
-        epoch_seed,
-        &sc.route,
-        &mut sc.frag.dropped_at,
-        &mut sc.frag.lost_at,
-    );
-    for i in 0..pkts {
-        let tag = site.site_ingress(f, ts_bit);
-        if spread_drop(i, pkts, n_lost) {
-            continue;
-        }
-        em.emit(&mut sc.outbox[a.out_shard], a.out_local, f, ts_bit, tag, 1);
+    if a.local_egress {
+        sites[a.out_local as usize].site_egress_burst(&a.f, ts, tag, pkts);
+    } else {
+        sc.outbox[a.out_shard].push(EgressRun { edge_local: a.out_local, ts, tag, f: a.f, pkts });
     }
-    em.flush(&mut sc.outbox[a.out_shard], a.out_local, f);
 }
 
 /// Phase-A body of the clean burst path — the sharded twin of the flow loop
-/// in [`Simulator::run_epoch_burst`]. Zero-delivery runs are skipped: a
-/// weight-0 egress is a state no-op on every data plane.
+/// in [`Simulator::run_epoch_burst`].
 // chm-lint: hot
-#[allow(clippy::too_many_arguments)]
 fn clean_flow_burst<F: Routable, E: EdgeSite<F>>(
     a: FlowArgs<F>,
     n_lost: u64,
     ts_bit: u8,
     epoch_seed: u64,
     topo: &Topology,
-    site: &mut E,
+    sites: &mut [&mut E],
     sc: &mut ShardScratch<F>,
 ) {
     let f = &a.f;
@@ -500,8 +402,7 @@ fn clean_flow_burst<F: Routable, E: EdgeSite<F>>(
             &mut sc.frag.lost_at,
         );
     }
-    let runs = site.site_ingress_burst(f, ts_bit, pkts);
-    let ob = &mut sc.outbox[a.out_shard];
+    let runs = sites[a.in_local].site_ingress_burst(f, ts_bit, pkts);
     let mut pos = 0u64;
     for (tag, len) in runs {
         if len == 0 {
@@ -509,10 +410,7 @@ fn clean_flow_burst<F: Routable, E: EdgeSite<F>>(
         }
         let dropped = spread_drop_prefix(pos + len, pkts, n_lost)
             - spread_drop_prefix(pos, pkts, n_lost);
-        let out = len - dropped;
-        if out > 0 {
-            ob.push(EgressRun { edge_local: a.out_local, ts: ts_bit, tag, f: a.f, pkts: out });
-        }
+        egress_run(&a, sites, sc, ts_bit, tag, len - dropped);
         pos += len;
     }
     debug_assert_eq!(pos, pkts, "tag runs must cover the whole burst");
@@ -573,7 +471,7 @@ fn scenario_realize<F: Routable>(
 }
 
 /// Fold one realized flow's outcome into the fragment (delivered/lost maps
-/// plus attribution) — shared by both scenario phase-A bodies.
+/// plus attribution).
 // chm-lint: hot
 fn scenario_account<F: Routable>(a: FlowArgs<F>, sc: &mut ShardScratch<F>) {
     let del = sc.fates.n_delivered();
@@ -590,40 +488,6 @@ fn scenario_account<F: Routable>(a: FlowArgs<F>, sc: &mut ShardScratch<F>) {
     }
 }
 
-/// Phase-A body of the scenario per-packet path — the sharded twin of
-/// [`Simulator::run_epoch_scenario`]'s flow loop.
-// chm-lint: hot
-#[allow(clippy::too_many_arguments)]
-fn scenario_flow_per_packet<F: Routable, E: EdgeSite<F>>(
-    a: FlowArgs<F>,
-    n_lost: u64,
-    ts_bit: u8,
-    prev_bit: u8,
-    epoch_seed: u64,
-    topo: &Topology,
-    imp: &ImpairmentSet,
-    queue: Option<&QueueRealization>,
-    cong: Option<&CongestionRealization>,
-    site: &mut E,
-    sc: &mut ShardScratch<F>,
-) {
-    scenario_realize(a, n_lost, epoch_seed, topo, imp, queue, cong, sc);
-    let f = &a.f;
-    let mut em = RunEmitter::start();
-    for i in 0..a.pkts {
-        let ts = if i < sc.fates.skew_split { prev_bit } else { ts_bit };
-        let tag = site.site_ingress(f, ts);
-        if sc.fates.delivered_mask[i as usize] {
-            em.emit(&mut sc.outbox[a.out_shard], a.out_local, f, ts, tag, 1);
-            if sc.fates.dup[i as usize] {
-                em.emit(&mut sc.outbox[a.out_shard], a.out_local, f, ts, tag, 1);
-            }
-        }
-    }
-    em.flush(&mut sc.outbox[a.out_shard], a.out_local, f);
-    scenario_account(a, sc);
-}
-
 /// Phase-A body of the scenario burst path — the sharded twin of
 /// [`Simulator::run_epoch_burst_scenario`]'s flow loop.
 // chm-lint: hot
@@ -638,7 +502,7 @@ fn scenario_flow_burst<F: Routable, E: EdgeSite<F>>(
     imp: &ImpairmentSet,
     queue: Option<&QueueRealization>,
     cong: Option<&CongestionRealization>,
-    site: &mut E,
+    sites: &mut [&mut E],
     sc: &mut ShardScratch<F>,
 ) {
     scenario_realize(a, n_lost, epoch_seed, topo, imp, queue, cong, sc);
@@ -650,41 +514,18 @@ fn scenario_flow_burst<F: Routable, E: EdgeSite<F>>(
         if seg_len == 0 {
             continue;
         }
-        let runs = site.site_ingress_burst(f, seg_ts, seg_len);
+        let runs = sites[a.in_local].site_ingress_burst(f, seg_ts, seg_len);
         for (tag, len) in runs {
             if len == 0 {
                 continue;
             }
             let out = sc.fates.delivered_in(pos, len) + sc.fates.dups_in(pos, len);
-            if out > 0 {
-                sc.outbox[a.out_shard].push(EgressRun {
-                    edge_local: a.out_local,
-                    ts: seg_ts,
-                    tag,
-                    f: a.f,
-                    pkts: out,
-                });
-            }
+            egress_run(&a, sites, sc, seg_ts, tag, out);
             pos += len;
         }
     }
     debug_assert_eq!(pos, pkts, "tag runs must cover the whole burst");
     scenario_account(a, sc);
-}
-
-/// Phase-B application of one per-packet-path run: `pkts` individual egress
-/// calls, exactly what the serial per-packet loop issues.
-// chm-lint: hot
-fn apply_run_per_packet<F, E: EdgeSite<F>>(site: &mut E, run: &EgressRun<F>) {
-    for _ in 0..run.pkts {
-        site.site_egress(&run.f, run.ts, run.tag);
-    }
-}
-
-/// Phase-B application of one burst-path run: a single weighted egress.
-// chm-lint: hot
-fn apply_run_burst<F, E: EdgeSite<F>>(site: &mut E, run: &EgressRun<F>) {
-    site.site_egress_burst(&run.f, run.ts, run.tag, run.pkts);
 }
 
 /// Round-robin split of the edge-site slice: shard `s` owns sites
@@ -762,7 +603,7 @@ pub struct ShardedReplay<F> {
     last_profile: SpanProfiler,
 }
 
-impl<F: Routable> ShardedReplay<F> {
+impl<F> ShardedReplay<F> {
     /// Builds an engine with `sharding` (clamped to ≥ 1 shard/worker).
     pub fn new(sharding: Sharding) -> Self {
         let sharding = sharding.normalized();
@@ -786,59 +627,11 @@ impl<F: Routable> ShardedReplay<F> {
     pub fn last_profile(&self) -> &SpanProfiler {
         &self.last_profile
     }
+}
 
-    /// Sharded [`Simulator::run_epoch`]: byte-identical report and sketch
-    /// state at any shard/worker count.
-    pub fn run_epoch<E: EdgeSite<F>>(
-        &mut self,
-        sim: &mut Simulator,
-        trace: &Trace<F>,
-        plan: &LossPlan<F>,
-        edges: &mut [E],
-    ) -> EpochReport<F> {
-        self.run_epoch_timed(sim, trace, plan, edges, &|| 0.0).0
-    }
-
-    /// [`run_epoch`](Self::run_epoch) with per-phase timing from the
-    /// injected `clock` (monotonic seconds; only `crates/bench` owns one).
-    pub fn run_epoch_timed<E: EdgeSite<F>>(
-        &mut self,
-        sim: &mut Simulator,
-        trace: &Trace<F>,
-        plan: &LossPlan<F>,
-        edges: &mut [E],
-        clock: &(dyn Fn() -> f64 + Sync),
-    ) -> (EpochReport<F>, ShardTiming) {
-        let t0 = clock();
-        let epoch = sim.current_epoch();
-        let ts_bit = sim.current_ts_bit();
-        let epoch_seed = sim.epoch_seed();
-        let (delivered, lost) = plan.apply_to_trace(trace, epoch_seed);
-        let prologue = clock() - t0;
-        let topo = &sim.topology;
-        let lost_by_flow = &lost;
-        let (mut report, mut timing) = self.drive(
-            topo,
-            trace,
-            edges,
-            clock,
-            epoch,
-            BTreeMap::new(),
-            |a: FlowArgs<F>, site: &mut E, sc: &mut ShardScratch<F>| {
-                let n_lost = lost_by_flow.get(&a.f).copied().unwrap_or(0);
-                clean_flow_per_packet(a, n_lost, ts_bit, epoch_seed, topo, site, sc);
-            },
-            apply_run_per_packet,
-        );
-        timing.prologue_s += prologue;
-        self.last_profile.record(&["prologue"], prologue);
-        install_globals(&mut report, delivered, lost);
-        sim.set_epoch(epoch + 1);
-        (report, timing)
-    }
-
-    /// Sharded [`Simulator::run_epoch_burst`]: byte-identical report and
-    /// sketch state at any shard/worker count.
+impl<F: Routable> ShardedReplay<F> {
+    /// Replays one clean epoch (loss plan only): byte-identical report and
+    /// sketch state to [`Simulator::run_epoch`] at any shard/worker count.
     pub fn run_epoch_burst<E: EdgeSite<F>>(
         &mut self,
         sim: &mut Simulator,
@@ -849,8 +642,10 @@ impl<F: Routable> ShardedReplay<F> {
         self.run_epoch_burst_timed(sim, trace, plan, edges, &|| 0.0).0
     }
 
-    /// [`run_epoch_burst`](Self::run_epoch_burst) with per-phase timing —
-    /// what `chm-bench perf --threads` builds the scaling curve from.
+    /// [`run_epoch_burst`](Self::run_epoch_burst) with per-phase timing
+    /// from the injected `clock` (monotonic seconds; only `crates/bench`
+    /// owns one) — what `chm-bench perf --threads` builds the scaling curve
+    /// from.
     pub fn run_epoch_burst_timed<E: EdgeSite<F>>(
         &mut self,
         sim: &mut Simulator,
@@ -874,11 +669,10 @@ impl<F: Routable> ShardedReplay<F> {
             clock,
             epoch,
             BTreeMap::new(),
-            |a: FlowArgs<F>, site: &mut E, sc: &mut ShardScratch<F>| {
+            |a: FlowArgs<F>, sites: &mut [&mut E], sc: &mut ShardScratch<F>| {
                 let n_lost = lost_by_flow.get(&a.f).copied().unwrap_or(0);
-                clean_flow_burst(a, n_lost, ts_bit, epoch_seed, topo, site, sc);
+                clean_flow_burst(a, n_lost, ts_bit, epoch_seed, topo, sites, sc);
             },
-            apply_run_burst,
         );
         timing.prologue_s += prologue;
         self.last_profile.record(&["prologue"], prologue);
@@ -887,72 +681,9 @@ impl<F: Routable> ShardedReplay<F> {
         (report, timing)
     }
 
-    /// Sharded [`Simulator::run_epoch_scenario`]: byte-identical report and
-    /// sketch state at any shard/worker count.
-    pub fn run_epoch_scenario<E: EdgeSite<F>>(
-        &mut self,
-        sim: &mut Simulator,
-        trace: &Trace<F>,
-        plan: &LossPlan<F>,
-        imp: &ImpairmentSet,
-        edges: &mut [E],
-    ) -> EpochReport<F> {
-        self.run_epoch_scenario_timed(sim, trace, plan, imp, edges, &|| 0.0).0
-    }
-
-    /// [`run_epoch_scenario`](Self::run_epoch_scenario) with timing.
-    pub fn run_epoch_scenario_timed<E: EdgeSite<F>>(
-        &mut self,
-        sim: &mut Simulator,
-        trace: &Trace<F>,
-        plan: &LossPlan<F>,
-        imp: &ImpairmentSet,
-        edges: &mut [E],
-        clock: &(dyn Fn() -> f64 + Sync),
-    ) -> (EpochReport<F>, ShardTiming) {
-        let t0 = clock();
-        let epoch = sim.current_epoch();
-        let ts_bit = sim.current_ts_bit();
-        let prev_bit = ts_bit ^ 1;
-        let epoch_seed = sim.epoch_seed();
-        let (_, base_lost) = plan.apply_to_trace(trace, epoch_seed);
-        let queue = imp
-            .queue
-            .as_ref()
-            .map(|q| q.realize(&sim.topology, trace, epoch, imp.seed));
-        let cong = match &queue {
-            Some(_) => None,
-            None => imp.congestion.as_ref().map(|m| m.realize(&sim.topology, trace, epoch)),
-        };
-        let queue_depth = queue.as_ref().map(|q| q.depths().clone()).unwrap_or_default();
-        let prologue = clock() - t0;
-        let topo = &sim.topology;
-        let base = &base_lost;
-        let q = queue.as_ref();
-        let c = cong.as_ref();
-        let (report, mut timing) = self.drive(
-            topo,
-            trace,
-            edges,
-            clock,
-            epoch,
-            queue_depth,
-            |a: FlowArgs<F>, site: &mut E, sc: &mut ShardScratch<F>| {
-                let n_lost = base.get(&a.f).copied().unwrap_or(0);
-                scenario_flow_per_packet(
-                    a, n_lost, ts_bit, prev_bit, epoch_seed, topo, imp, q, c, site, sc,
-                );
-            },
-            apply_run_per_packet,
-        );
-        timing.prologue_s += prologue;
-        self.last_profile.record(&["prologue"], prologue);
-        sim.set_epoch(epoch + 1);
-        (report, timing)
-    }
-
-    /// Sharded [`Simulator::run_epoch_burst_scenario`]: byte-identical
-    /// report and sketch state at any shard/worker count.
+    /// Replays one scenario epoch (loss plan plus `imp`): byte-identical
+    /// report and sketch state to [`Simulator::run_epoch_scenario`] at any
+    /// shard/worker count.
     pub fn run_epoch_burst_scenario<E: EdgeSite<F>>(
         &mut self,
         sim: &mut Simulator,
@@ -1002,13 +733,12 @@ impl<F: Routable> ShardedReplay<F> {
             clock,
             epoch,
             queue_depth,
-            |a: FlowArgs<F>, site: &mut E, sc: &mut ShardScratch<F>| {
+            |a: FlowArgs<F>, sites: &mut [&mut E], sc: &mut ShardScratch<F>| {
                 let n_lost = base.get(&a.f).copied().unwrap_or(0);
                 scenario_flow_burst(
-                    a, n_lost, ts_bit, prev_bit, epoch_seed, topo, imp, q, c, site, sc,
+                    a, n_lost, ts_bit, prev_bit, epoch_seed, topo, imp, q, c, sites, sc,
                 );
             },
-            apply_run_burst,
         );
         timing.prologue_s += prologue;
         self.last_profile.record(&["prologue"], prologue);
@@ -1047,11 +777,12 @@ impl<F: Routable> ShardedReplay<F> {
         }
     }
 
-    /// The shared engine: partition → phase A (parallel ingress + fragment
-    /// accounting into outboxes) → barrier → phase B (parallel egress inbox
-    /// drain in deterministic source order) → serial fragment merge.
+    /// The shared engine: partition → phase A (parallel ingress, same-shard
+    /// egress, and fragment accounting; cross-shard egress into outboxes)
+    /// → barrier → phase B (parallel egress inbox drain in deterministic
+    /// source order) → serial fragment merge.
     #[allow(clippy::too_many_arguments)]
-    fn drive<E, PA, PB>(
+    fn drive<E, PA>(
         &mut self,
         topo: &Topology,
         trace: &Trace<F>,
@@ -1060,12 +791,10 @@ impl<F: Routable> ShardedReplay<F> {
         epoch: u64,
         queue_depth: BTreeMap<SwitchId, QueueDepthStat>,
         flow_fn: PA,
-        run_fn: PB,
     ) -> (EpochReport<F>, ShardTiming)
     where
         E: EdgeSite<F>,
-        PA: Fn(FlowArgs<F>, &mut E, &mut ShardScratch<F>) + Sync,
-        PB: Fn(&mut E, &EgressRun<F>) + Sync,
+        PA: Fn(FlowArgs<F>, &mut [&mut E], &mut ShardScratch<F>) + Sync,
     {
         assert_eq!(
             edges.len(),
@@ -1078,8 +807,9 @@ impl<F: Routable> ShardedReplay<F> {
         let shards = self.sharding.shards;
         let workers = self.sharding.workers;
 
-        // Phase A: each shard ingests its own flows (trace order preserved)
-        // and records egress work into per-destination outboxes.
+        // Phase A: each shard ingests its own flows (trace order preserved),
+        // applies egress to its own sites, and records the rest into
+        // per-destination outboxes.
         let buckets = split_edges(edges, shards);
         let mut tasks: Vec<TaskA<'_, '_, F, E>> = self
             .parts
@@ -1088,19 +818,22 @@ impl<F: Routable> ShardedReplay<F> {
             .zip(buckets)
             .map(|((part, scratch), edges)| TaskA { part, scratch, edges, time: 0.0 })
             .collect();
-        run_tasks(workers, &mut tasks, |_, t| {
+        run_tasks(workers, &mut tasks, |shard, t| {
             let start = clock();
             let part = t.part;
             for k in 0..part.idx.len() {
                 let (f, pkts) = trace.flows[part.idx[k] as usize];
+                let out_shard = part.out_shard[k] as usize;
                 let args = FlowArgs {
                     f,
                     pkts,
                     in_edge: part.in_edge[k] as usize,
-                    out_shard: part.out_shard[k] as usize,
+                    in_local: part.in_local[k] as usize,
+                    out_shard,
                     out_local: part.out_local[k],
+                    local_egress: out_shard == shard,
                 };
-                flow_fn(args, &mut *t.edges[part.in_local[k] as usize], t.scratch);
+                flow_fn(args, &mut t.edges[..], t.scratch);
             }
             t.time = clock() - start;
         });
@@ -1117,7 +850,9 @@ impl<F: Routable> ShardedReplay<F> {
             let start = clock();
             for sc in scratches.iter() {
                 for run in &sc.outbox[shard] {
-                    run_fn(&mut *t.edges[run.edge_local as usize], run);
+                    t.edges[run.edge_local as usize].site_egress_burst(
+                        &run.f, run.ts, run.tag, run.pkts,
+                    );
                 }
             }
             t.time = clock() - start;
@@ -1135,7 +870,9 @@ impl<F: Routable> ShardedReplay<F> {
             .collect();
         let report = merge_fragments(epoch, queue_depth, &mut frags);
         for (s, frag) in self.scratches.iter_mut().zip(frags) {
-            s.frag = frag; // drained, capacity retained for the next epoch
+            // Drained with capacity retained (the first one moved into the
+            // report and restarts empty).
+            s.frag = frag;
         }
         let merge_s = clock() - m0;
 
@@ -1177,6 +914,7 @@ fn install_globals<F: FlowId>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::SiteArray;
     use crate::topology::{FatTree, SwitchRole};
     use chm_common::FiveTuple;
     use chm_workloads::{testbed_trace, VictimSelection, WorkloadKind};
@@ -1248,35 +986,35 @@ mod tests {
         (trace, plan, sim)
     }
 
+    fn impairments() -> ImpairmentSet {
+        ImpairmentSet {
+            seed: 11,
+            gilbert_elliott: Some(crate::impair::GilbertElliott::bursty()),
+            duplication: Some(crate::impair::Duplication { prob: 0.05 }),
+            clock_skew: Some(crate::impair::ClockSkew { max_frac: 0.2 }),
+            ..ImpairmentSet::none()
+        }
+    }
+
     #[test]
     fn sharded_clean_paths_match_unsharded_at_any_layout() {
         let (trace, plan, sim0) = setup();
-        for burst in [false, true] {
-            let mut sim_ref = sim0.clone();
-            let mut ref_sites = sites(4);
-            let r_ref = if burst {
-                sim_ref.run_epoch_burst(&trace, &plan, &mut SiteArray(&mut ref_sites))
-            } else {
-                sim_ref.run_epoch(&trace, &plan, &mut SiteArray(&mut ref_sites))
-            };
-            for sharding in [
-                Sharding::single(),
-                Sharding::of(2),
-                Sharding { shards: 3, workers: 2 },
-                Sharding::of(7),
-            ] {
-                let mut sim = sim0.clone();
-                let mut s = sites(4);
-                let mut eng = ShardedReplay::new(sharding);
-                let r = if burst {
-                    eng.run_epoch_burst(&mut sim, &trace, &plan, &mut s)
-                } else {
-                    eng.run_epoch(&mut sim, &trace, &plan, &mut s)
-                };
-                assert_eq!(r, r_ref, "report differs at {sharding:?} burst={burst}");
-                assert_eq!(s, ref_sites, "site state differs at {sharding:?} burst={burst}");
-                assert_eq!(sim.current_epoch(), sim_ref.current_epoch());
-            }
+        let mut sim_ref = sim0.clone();
+        let mut ref_sites = sites(4);
+        let r_ref = sim_ref.run_epoch(&trace, &plan, &mut SiteArray(&mut ref_sites));
+        for sharding in [
+            Sharding::single(),
+            Sharding::of(2),
+            Sharding { shards: 3, workers: 2 },
+            Sharding::of(7),
+        ] {
+            let mut sim = sim0.clone();
+            let mut s = sites(4);
+            let mut eng = ShardedReplay::new(sharding);
+            let r = eng.run_epoch_burst(&mut sim, &trace, &plan, &mut s);
+            assert_eq!(r, r_ref, "report differs at {sharding:?}");
+            assert_eq!(s, ref_sites, "site state differs at {sharding:?}");
+            assert_eq!(sim.current_epoch(), sim_ref.current_epoch());
         }
     }
 
@@ -1289,7 +1027,7 @@ mod tests {
         // Deterministic strictly-increasing fake clock (not wall time).
         let ticks = AtomicU64::new(0);
         let clock = move || ticks.fetch_add(1, Ordering::SeqCst) as f64;
-        let (_, timing) = eng.run_epoch_timed(&mut sim, &trace, &plan, &mut s, &clock);
+        let (_, timing) = eng.run_epoch_burst_timed(&mut sim, &trace, &plan, &mut s, &clock);
         let prof = eng.last_profile();
         assert!(prof.balanced());
         assert_eq!(ShardTiming::from_profile(prof), timing);
@@ -1301,37 +1039,43 @@ mod tests {
     #[test]
     fn sharded_scenario_paths_match_unsharded() {
         let (trace, plan, sim0) = setup();
-        let imp = ImpairmentSet {
-            seed: 11,
-            gilbert_elliott: Some(crate::impair::GilbertElliott::bursty()),
-            duplication: Some(crate::impair::Duplication { prob: 0.05 }),
-            clock_skew: Some(crate::impair::ClockSkew { max_frac: 0.2 }),
-            ..ImpairmentSet::none()
+        let imp = impairments();
+        let mut sim_ref = sim0.clone();
+        let mut ref_sites = sites(4);
+        let r_ref =
+            sim_ref.run_epoch_scenario(&trace, &plan, &imp, &mut SiteArray(&mut ref_sites));
+        for n in [1usize, 2, 4] {
+            let mut sim = sim0.clone();
+            let mut s = sites(4);
+            let mut eng = ShardedReplay::new(Sharding::of(n));
+            let r = eng.run_epoch_burst_scenario(&mut sim, &trace, &plan, &imp, &mut s);
+            assert_eq!(r, r_ref, "scenario report differs at {n} shards");
+            assert_eq!(s, ref_sites, "site state differs at {n} shards");
+        }
+    }
+
+    /// A one-shard epoch applies every egress run in phase A: nothing is
+    /// buffered, on either path — while a two-shard epoch of the same
+    /// trace does ship runs across the shard boundary.
+    #[test]
+    fn one_shard_epoch_buffers_no_egress() {
+        let (trace, plan, sim0) = setup();
+        let imp = impairments();
+        let buffered = |eng: &ShardedReplay<FiveTuple>| -> usize {
+            eng.scratches.iter().flat_map(|sc| &sc.outbox).map(Vec::len).sum()
         };
-        for burst in [false, true] {
-            let mut sim_ref = sim0.clone();
-            let mut ref_sites = sites(4);
-            let r_ref = if burst {
-                sim_ref.run_epoch_burst_scenario(
-                    &trace,
-                    &plan,
-                    &imp,
-                    &mut SiteArray(&mut ref_sites),
-                )
+        for sharding in [Sharding::single(), Sharding::of(2)] {
+            let mut s = sites(4);
+            let mut sim = sim0.clone();
+            let mut eng = ShardedReplay::new(sharding);
+            eng.run_epoch_burst(&mut sim, &trace, &plan, &mut s);
+            let clean = buffered(&eng);
+            eng.run_epoch_burst_scenario(&mut sim, &trace, &plan, &imp, &mut s);
+            let scenario = buffered(&eng);
+            if sharding.shards == 1 {
+                assert_eq!((clean, scenario), (0, 0), "one shard must buffer nothing");
             } else {
-                sim_ref.run_epoch_scenario(&trace, &plan, &imp, &mut SiteArray(&mut ref_sites))
-            };
-            for n in [1usize, 2, 4] {
-                let mut sim = sim0.clone();
-                let mut s = sites(4);
-                let mut eng = ShardedReplay::new(Sharding::of(n));
-                let r = if burst {
-                    eng.run_epoch_burst_scenario(&mut sim, &trace, &plan, &imp, &mut s)
-                } else {
-                    eng.run_epoch_scenario(&mut sim, &trace, &plan, &imp, &mut s)
-                };
-                assert_eq!(r, r_ref, "scenario report differs at {n} shards burst={burst}");
-                assert_eq!(s, ref_sites, "site state differs at {n} shards burst={burst}");
+                assert!(clean > 0 && scenario > 0, "two shards must ship egress runs");
             }
         }
     }
@@ -1345,7 +1089,7 @@ mod tests {
         let mut s = sites(4);
         let mut eng = ShardedReplay::new(Sharding::of(3));
         for _ in 0..4 {
-            let r_ref = sim_ref.run_epoch_burst(&trace, &plan, &mut SiteArray(&mut ref_sites));
+            let r_ref = sim_ref.run_epoch(&trace, &plan, &mut SiteArray(&mut ref_sites));
             let r = eng.run_epoch_burst(&mut sim, &trace, &plan, &mut s);
             assert_eq!(r, r_ref);
         }
@@ -1393,7 +1137,7 @@ mod tests {
         let (trace, plan, sim0) = setup();
         let mut sim_ref = sim0.clone();
         let mut ref_sites = sites(4);
-        let r_ref = sim_ref.run_epoch_burst(&trace, &plan, &mut SiteArray(&mut ref_sites));
+        let r_ref = sim_ref.run_epoch(&trace, &plan, &mut SiteArray(&mut ref_sites));
         // 9 shards over 4 edges: shards 4..9 own no edges and stay idle.
         let mut sim = sim0.clone();
         let mut s = sites(4);

@@ -1,8 +1,16 @@
 //! The packet loop: replays a trace through the fabric, epoch by epoch,
-//! invoking measurement hooks at the ingress and egress edge switches and
+//! driving the [`EdgeSite`] at the ingress and egress edge switches and
 //! applying the loss plan in between — the software equivalent of the §5.2
 //! testbed run (DPDK senders, proactive ECN drops, ChameleMon on all four
 //! ToR switches), generalized to any [`Topology`] in the zoo.
+//!
+//! Production replays through [`ShardedReplay`](crate::ShardedReplay).
+//! The [`Simulator`] paths here are its serial oracle: one thread, trace
+//! order, and — in [`run_epoch`](Simulator::run_epoch) and
+//! [`run_epoch_scenario`](Simulator::run_epoch_scenario) — one site call
+//! per packet, the reference the differential suites compare the engine
+//! against. The simulator also owns the topology and the epoch/seed state
+//! the engine reads.
 
 use crate::impair::{hash_hop, FabricFates, ImpairmentSet, LinkLoss};
 use crate::queue::QueueDepthStat;
@@ -13,34 +21,34 @@ use chm_workloads::{LossPlan, Trace};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
-/// Measurement hooks an edge-switch data plane exposes to the simulator.
+/// One edge switch's measurement pipeline, as the replay drives it — the
+/// only site trait: [`ShardedReplay`](crate::ShardedReplay) hands each shard
+/// the sites it owns, and the serial [`Simulator`] oracle reaches them
+/// through a [`SiteArray`].
 ///
 /// `ts_bit` is the 1-bit epoch timestamp the packet reads at its ingress
-/// edge and carries through the network (Appendix B); `tag` is the 2-bit
-/// flow-hierarchy tag the ingress pipeline writes into the ToS field so the
-/// egress pipeline knows which encoder to use (§3.2.3).
-pub trait EdgeHooks<F> {
-    /// Called when a packet enters the network. Returns the hierarchy tag
-    /// the packet carries to its egress edge.
-    fn on_ingress(&mut self, edge: usize, f: &F, ts_bit: u8) -> u8;
-
-    /// Called when a packet exits the network (unless it was dropped).
-    fn on_egress(&mut self, edge: usize, f: &F, ts_bit: u8, tag: u8);
+/// edge and carries through the network (Appendix B); the returned tag is
+/// the 2-bit flow-hierarchy tag the ingress pipeline writes into the ToS
+/// field so the egress pipeline knows which encoder to use (§3.2.3).
+/// `Send` is required so shards can carry their sites across scoped
+/// threads.
+pub trait EdgeSite<F>: Send {
+    /// Packet of `f` enters the network here; returns the carried 2-bit tag.
+    fn site_ingress(&mut self, f: &F, ts_bit: u8) -> u8;
+    /// Packet of `f` exits the network here (unless it was dropped).
+    fn site_egress(&mut self, f: &F, ts_bit: u8, tag: u8);
+    /// Burst ingress: `pkts` consecutive packets of `f` in one call, with
+    /// the same resulting state as `pkts` [`site_ingress`](Self::site_ingress)
+    /// calls; returns the carried tags as `(tag, count)` runs **in packet
+    /// order** (zero-count runs allowed).
+    fn site_ingress_burst(&mut self, f: &F, ts_bit: u8, pkts: u64) -> [(u8, u64); 3];
+    /// Burst egress for `delivered` packets of one tag run.
+    fn site_egress_burst(&mut self, f: &F, ts_bit: u8, tag: u8, delivered: u64);
 }
 
-/// Burst-capable measurement hooks: a data plane that can ingest a run of
-/// consecutive same-flow packets in one call, producing the same state as
-/// the per-packet path (ChameleMon's engine classifies a burst in closed
-/// form — [`run_epoch_burst`](Simulator::run_epoch_burst) exploits it).
-pub trait BurstHooks<F>: EdgeHooks<F> {
-    /// Ingests a burst of `pkts` packets of `f`; returns the carried tags
-    /// as `(tag, count)` runs **in packet order** (zero-count runs allowed).
-    fn on_ingress_burst(&mut self, edge: usize, f: &F, ts_bit: u8, pkts: u64)
-        -> [(u8, u64); 3];
-
-    /// Egress for `delivered` packets of one tag run.
-    fn on_egress_burst(&mut self, edge: usize, f: &F, ts_bit: u8, tag: u8, delivered: u64);
-}
+/// The edge sites of a whole fabric, indexed by edge switch — how the
+/// serial [`Simulator`] paths address them.
+pub struct SiteArray<'a, E>(pub &'a mut [E]);
 
 /// Flows the simulator can route: they name their endpoints.
 pub trait Routable: FlowId {
@@ -290,14 +298,15 @@ impl Simulator {
 
     /// Replays one epoch: every flow in `trace` sends its full packet count;
     /// packets of victim flows are dropped per `plan` (realized fresh each
-    /// epoch — every victim loses at least one packet). Ingress hooks fire
-    /// for *all* packets, egress hooks only for delivered ones, matching
-    /// where the upstream/downstream encoders sit (§3.2).
-    pub fn run_epoch<F: Routable>(
+    /// epoch — every victim loses at least one packet). Ingress fires for
+    /// *all* packets, egress only for delivered ones, matching where the
+    /// upstream/downstream encoders sit (§3.2). One site call per packet:
+    /// the per-packet oracle.
+    pub fn run_epoch<F: Routable, E: EdgeSite<F>>(
         &mut self,
         trace: &Trace<F>,
         plan: &LossPlan<F>,
-        hooks: &mut impl EdgeHooks<F>,
+        sites: &mut SiteArray<'_, E>,
     ) -> EpochReport<F> {
         let ts_bit = self.current_ts_bit();
         let epoch_seed = self.epoch_seed();
@@ -319,8 +328,8 @@ impl Simulator {
                 // Lossless fast path — the overwhelmingly common case (most
                 // flows are not victims): skip the per-packet drop test.
                 for _ in 0..pkts {
-                    let tag = hooks.on_ingress(in_edge, &f, ts_bit);
-                    hooks.on_egress(out_edge, &f, ts_bit, tag);
+                    let tag = sites.0[in_edge].site_ingress(&f, ts_bit);
+                    sites.0[out_edge].site_egress(&f, ts_bit, tag);
                 }
                 continue;
             }
@@ -335,7 +344,7 @@ impl Simulator {
                 &mut lost_at,
             );
             for i in 0..pkts {
-                let tag = hooks.on_ingress(in_edge, &f, ts_bit);
+                let tag = sites.0[in_edge].site_ingress(&f, ts_bit);
                 // Drops must be spread across the flow's lifetime (the
                 // testbed marks ECN on a rate basis): the classifier's
                 // per-packet hierarchy decision depends on the flow's size
@@ -344,7 +353,7 @@ impl Simulator {
                 if spread_drop(i, pkts, n_lost) {
                     continue;
                 }
-                hooks.on_egress(out_edge, &f, ts_bit, tag);
+                sites.0[out_edge].site_egress(&f, ts_bit, tag);
             }
         }
         let report = EpochReport {
@@ -360,16 +369,16 @@ impl Simulator {
         report
     }
 
-    /// The batched replay: one [`BurstHooks`] call per flow instead of one
-    /// [`EdgeHooks`] call per packet, with drops distributed across the
-    /// burst's tag runs by the same spread formula — the resulting sketch
+    /// The batched replay: one burst site call per flow instead of one call
+    /// per packet, with drops distributed across the burst's tag runs by
+    /// the same spread formula — the resulting sketch
     /// state and report are identical to [`run_epoch`](Self::run_epoch)
     /// (property-tested), at a fraction of the replay cost.
-    pub fn run_epoch_burst<F: Routable>(
+    pub fn run_epoch_burst<F: Routable, E: EdgeSite<F>>(
         &mut self,
         trace: &Trace<F>,
         plan: &LossPlan<F>,
-        hooks: &mut impl BurstHooks<F>,
+        sites: &mut SiteArray<'_, E>,
     ) -> EpochReport<F> {
         let ts_bit = self.current_ts_bit();
         let epoch_seed = self.epoch_seed();
@@ -399,7 +408,7 @@ impl Simulator {
                     &mut lost_at,
                 );
             }
-            let runs = hooks.on_ingress_burst(in_edge, &f, ts_bit, pkts);
+            let runs = sites.0[in_edge].site_ingress_burst(&f, ts_bit, pkts);
             // Packets dropped before position x (exclusive): ⌊x·L/P⌋ — the
             // prefix form of `spread_drop`.
             let mut pos = 0u64;
@@ -409,7 +418,7 @@ impl Simulator {
                 }
                 let dropped = spread_drop_prefix(pos + len, pkts, n_lost)
                     - spread_drop_prefix(pos, pkts, n_lost);
-                hooks.on_egress_burst(out_edge, &f, ts_bit, tag, len - dropped);
+                sites.0[out_edge].site_egress_burst(&f, ts_bit, tag, len - dropped);
                 pos += len;
             }
             debug_assert_eq!(pos, pkts, "tag runs must cover the whole burst");
@@ -439,12 +448,12 @@ impl Simulator {
     ///
     /// With [`ImpairmentSet::none`] this is observationally identical to
     /// [`run_epoch`](Self::run_epoch), drop attribution included.
-    pub fn run_epoch_scenario<F: Routable>(
+    pub fn run_epoch_scenario<F: Routable, E: EdgeSite<F>>(
         &mut self,
         trace: &Trace<F>,
         plan: &LossPlan<F>,
         imp: &ImpairmentSet,
-        hooks: &mut impl EdgeHooks<F>,
+        sites: &mut SiteArray<'_, E>,
     ) -> EpochReport<F> {
         let ts_bit = self.current_ts_bit();
         let prev_bit = ts_bit ^ 1;
@@ -518,11 +527,11 @@ impl Simulator {
             );
             for i in 0..pkts {
                 let ts = if i < fates.skew_split { prev_bit } else { ts_bit };
-                let tag = hooks.on_ingress(in_edge, &f, ts);
+                let tag = sites.0[in_edge].site_ingress(&f, ts);
                 if fates.delivered_mask[i as usize] {
-                    hooks.on_egress(out_edge, &f, ts, tag);
+                    sites.0[out_edge].site_egress(&f, ts, tag);
                     if fates.dup[i as usize] {
-                        hooks.on_egress(out_edge, &f, ts, tag);
+                        sites.0[out_edge].site_egress(&f, ts, tag);
                     }
                 }
             }
@@ -554,12 +563,12 @@ impl Simulator {
     /// into two ingress bursts (the mis-stamped prefix carries the previous
     /// epoch's bit); each tag run's egress weight is the run's delivered
     /// count plus its fabric duplicates.
-    pub fn run_epoch_burst_scenario<F: Routable>(
+    pub fn run_epoch_burst_scenario<F: Routable, E: EdgeSite<F>>(
         &mut self,
         trace: &Trace<F>,
         plan: &LossPlan<F>,
         imp: &ImpairmentSet,
-        hooks: &mut impl BurstHooks<F>,
+        sites: &mut SiteArray<'_, E>,
     ) -> EpochReport<F> {
         let ts_bit = self.current_ts_bit();
         let prev_bit = ts_bit ^ 1;
@@ -635,13 +644,13 @@ impl Simulator {
                 if seg_len == 0 {
                     continue;
                 }
-                let runs = hooks.on_ingress_burst(in_edge, &f, seg_ts, seg_len);
+                let runs = sites.0[in_edge].site_ingress_burst(&f, seg_ts, seg_len);
                 for (tag, len) in runs {
                     if len == 0 {
                         continue;
                     }
                     let out = fates.delivered_in(pos, len) + fates.dups_in(pos, len);
-                    hooks.on_egress_burst(out_edge, &f, seg_ts, tag, out);
+                    sites.0[out_edge].site_egress_burst(&f, seg_ts, tag, out);
                     pos += len;
                 }
             }
@@ -683,35 +692,58 @@ mod tests {
     use crate::topology::FatTree;
     use chm_workloads::{testbed_trace, VictimSelection, WorkloadKind};
 
-    /// Hooks that just count calls per edge.
-    #[derive(Default)]
+    /// A site that just counts its calls.
+    #[derive(Default, Debug, PartialEq)]
     struct Counter {
-        ingress: HashMap<usize, u64>,
-        egress: HashMap<usize, u64>,
+        ingress: u64,
+        egress: u64,
         ts_bits: Vec<u8>,
     }
 
-    impl EdgeHooks<FiveTuple> for Counter {
-        fn on_ingress(&mut self, edge: usize, _f: &FiveTuple, ts: u8) -> u8 {
-            *self.ingress.entry(edge).or_insert(0) += 1;
+    impl EdgeSite<FiveTuple> for Counter {
+        fn site_ingress(&mut self, _f: &FiveTuple, ts: u8) -> u8 {
+            self.ingress += 1;
             self.ts_bits.push(ts);
             2 // arbitrary tag
         }
-        fn on_egress(&mut self, edge: usize, _f: &FiveTuple, _ts: u8, tag: u8) {
+        fn site_egress(&mut self, _f: &FiveTuple, _ts: u8, tag: u8) {
             assert_eq!(tag, 2, "tag must round-trip");
-            *self.egress.entry(edge).or_insert(0) += 1;
+            self.egress += 1;
         }
+        fn site_ingress_burst(&mut self, f: &FiveTuple, ts: u8, pkts: u64) -> [(u8, u64); 3] {
+            for _ in 0..pkts {
+                self.site_ingress(f, ts);
+            }
+            [(2, pkts), (0, 0), (0, 0)]
+        }
+        fn site_egress_burst(&mut self, _f: &FiveTuple, _ts: u8, tag: u8, delivered: u64) {
+            assert_eq!(tag, 2, "tag must round-trip");
+            self.egress += delivered;
+        }
+    }
+
+    /// One counter per testbed edge switch.
+    fn counters() -> Vec<Counter> {
+        (0..4).map(|_| Counter::default()).collect()
+    }
+
+    fn ingress(sites: &[Counter]) -> u64 {
+        sites.iter().map(|c| c.ingress).sum()
+    }
+
+    fn egress(sites: &[Counter]) -> u64 {
+        sites.iter().map(|c| c.egress).sum()
     }
 
     #[test]
     fn lossless_epoch_balances_ingress_egress() {
         let trace = testbed_trace(WorkloadKind::Dctcp, 500, 8, 1);
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
-        let report = sim.run_epoch(&trace, &LossPlan::none(), &mut hooks);
+        let mut sites = counters();
+        let report = sim.run_epoch(&trace, &LossPlan::none(), &mut SiteArray(&mut sites));
         let total: u64 = trace.flows.iter().map(|&(_, s)| s).sum();
-        assert_eq!(hooks.ingress.values().sum::<u64>(), total);
-        assert_eq!(hooks.egress.values().sum::<u64>(), total);
+        assert_eq!(ingress(&sites), total);
+        assert_eq!(egress(&sites), total);
         assert_eq!(report.total_sent(), total);
         assert!(report.lost.is_empty());
     }
@@ -721,13 +753,13 @@ mod tests {
         let trace = testbed_trace(WorkloadKind::Dctcp, 500, 8, 2);
         let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.1), 0.05, 3);
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
-        let report = sim.run_epoch(&trace, &plan, &mut hooks);
+        let mut sites = counters();
+        let report = sim.run_epoch(&trace, &plan, &mut SiteArray(&mut sites));
         let total: u64 = trace.flows.iter().map(|&(_, s)| s).sum();
         let lost: u64 = report.lost.values().sum();
         assert!(lost > 0);
-        assert_eq!(hooks.ingress.values().sum::<u64>(), total);
-        assert_eq!(hooks.egress.values().sum::<u64>(), total - lost);
+        assert_eq!(ingress(&sites), total);
+        assert_eq!(egress(&sites), total - lost);
         assert_eq!(report.victim_flows(), plan.num_victims());
     }
 
@@ -735,14 +767,14 @@ mod tests {
     fn ts_bit_flips_between_epochs() {
         let trace = testbed_trace(WorkloadKind::Cache, 50, 8, 3);
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
+        let mut sites = counters();
         assert_eq!(sim.current_ts_bit(), 0);
-        sim.run_epoch(&trace, &LossPlan::none(), &mut hooks);
-        assert!(hooks.ts_bits.iter().all(|&b| b == 0));
+        sim.run_epoch(&trace, &LossPlan::none(), &mut SiteArray(&mut sites));
+        assert!(sites.iter().flat_map(|c| &c.ts_bits).all(|&b| b == 0));
         assert_eq!(sim.current_ts_bit(), 1);
-        hooks.ts_bits.clear();
-        sim.run_epoch(&trace, &LossPlan::none(), &mut hooks);
-        assert!(hooks.ts_bits.iter().all(|&b| b == 1));
+        sites.iter_mut().for_each(|c| c.ts_bits.clear());
+        sim.run_epoch(&trace, &LossPlan::none(), &mut SiteArray(&mut sites));
+        assert!(sites.iter().flat_map(|c| &c.ts_bits).all(|&b| b == 1));
     }
 
     #[test]
@@ -750,9 +782,9 @@ mod tests {
         let trace = testbed_trace(WorkloadKind::Vl2, 300, 8, 4);
         let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.2), 0.1, 5);
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
-        let r1 = sim.run_epoch(&trace, &plan, &mut hooks);
-        let r2 = sim.run_epoch(&trace, &plan, &mut hooks);
+        let mut sites = counters();
+        let r1 = sim.run_epoch(&trace, &plan, &mut SiteArray(&mut sites));
+        let r2 = sim.run_epoch(&trace, &plan, &mut SiteArray(&mut sites));
         // Victim sets identical (plan is fixed) but realized loss counts
         // should differ somewhere.
         assert_eq!(r1.victim_flows(), r2.victim_flows());
@@ -824,17 +856,17 @@ mod tests {
         let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.1), 0.05, 9);
         let mut sim_a = Simulator::new(FatTree::testbed(), SimConfig::default());
         let mut sim_b = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut ha = Counter::default();
-        let mut hb = Counter::default();
-        let ra = sim_a.run_epoch(&trace, &plan, &mut ha);
-        let rb = sim_b.run_epoch_scenario(&trace, &plan, &ImpairmentSet::none(), &mut hb);
+        let mut ha = counters();
+        let mut hb = counters();
+        let ra = sim_a.run_epoch(&trace, &plan, &mut SiteArray(&mut ha));
+        let none = ImpairmentSet::none();
+        let rb = sim_b.run_epoch_scenario(&trace, &plan, &none, &mut SiteArray(&mut hb));
         assert_eq!(ra.delivered, rb.delivered);
         assert_eq!(ra.lost, rb.lost);
         assert_eq!(ra.dropped_at, rb.dropped_at, "attribution must agree too");
         assert_eq!(ra.lost_at, rb.lost_at);
         assert_eq!(ra.hops_histogram, rb.hops_histogram);
-        assert_eq!(ha.ingress, hb.ingress);
-        assert_eq!(ha.egress, hb.egress);
+        assert_eq!(ha, hb, "per-edge calls must agree");
     }
 
     #[test]
@@ -842,8 +874,8 @@ mod tests {
         let trace = testbed_trace(WorkloadKind::Vl2, 600, 8, 21);
         let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.2), 0.1, 22);
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
-        let r = sim.run_epoch(&trace, &plan, &mut hooks);
+        let mut sites = counters();
+        let r = sim.run_epoch(&trace, &plan, &mut SiteArray(&mut sites));
         // Every lost packet is attributed exactly once.
         assert_eq!(r.total_attributed(), r.lost.values().sum::<u64>());
         let topo = FatTree::testbed();
@@ -879,14 +911,15 @@ mod tests {
             ..ImpairmentSet::none()
         };
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
-        let report = sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, &mut hooks);
+        let mut sites = counters();
+        let report =
+            sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, &mut SiteArray(&mut sites));
         let total: u64 = trace.flows.iter().map(|&(_, s)| s).sum();
         assert!(report.lost.is_empty(), "duplication is not loss");
         assert_eq!(report.total_sent(), total);
-        assert_eq!(hooks.ingress.values().sum::<u64>(), total);
+        assert_eq!(ingress(&sites), total);
         // Every delivered packet egressed twice.
-        assert_eq!(hooks.egress.values().sum::<u64>(), 2 * total);
+        assert_eq!(egress(&sites), 2 * total);
     }
 
     #[test]
@@ -898,12 +931,13 @@ mod tests {
             ..ImpairmentSet::none()
         };
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
-        let report = sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, &mut hooks);
+        let mut sites = counters();
+        let report =
+            sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, &mut SiteArray(&mut sites));
         let lost: u64 = report.lost.values().sum();
         assert!(lost > 0, "GE must create victims without any loss plan");
         let total: u64 = trace.flows.iter().map(|&(_, s)| s).sum();
-        assert_eq!(hooks.egress.values().sum::<u64>(), total - lost);
+        assert_eq!(egress(&sites), total - lost);
     }
 
     #[test]
@@ -915,23 +949,24 @@ mod tests {
             ..ImpairmentSet::none()
         };
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
-        sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, &mut hooks);
+        let mut sites = counters();
+        sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, &mut SiteArray(&mut sites));
         // Epoch 0 (bit 0): mis-stamped packets carry bit 1.
-        let skewed = hooks.ts_bits.iter().filter(|&&b| b == 1).count();
+        let bits: Vec<u8> = sites.iter().flat_map(|c| c.ts_bits.iter().copied()).collect();
+        let skewed = bits.iter().filter(|&&b| b == 1).count();
         assert!(skewed > 0, "0.3 max skew must mis-stamp something");
-        assert!(skewed < hooks.ts_bits.len() / 2, "skew must stay a minority");
+        assert!(skewed < bits.len() / 2, "skew must stay a minority");
     }
 
     #[test]
     fn all_edges_carry_traffic() {
         let trace = testbed_trace(WorkloadKind::Hadoop, 2000, 8, 6);
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
-        sim.run_epoch(&trace, &LossPlan::none(), &mut hooks);
-        for e in 0..4 {
-            assert!(hooks.ingress.get(&e).copied().unwrap_or(0) > 0, "edge {e} idle");
-            assert!(hooks.egress.get(&e).copied().unwrap_or(0) > 0, "edge {e} idle");
+        let mut sites = counters();
+        sim.run_epoch(&trace, &LossPlan::none(), &mut SiteArray(&mut sites));
+        for (e, c) in sites.iter().enumerate() {
+            assert!(c.ingress > 0, "edge {e} idle");
+            assert!(c.egress > 0, "edge {e} idle");
         }
     }
 }

@@ -304,7 +304,7 @@ mod queue {
                 chm_netsim::SimConfig { epoch_ms: 50.0, seed },
             );
             for _ in 0..2 {
-                let r = sim.run_epoch_scenario(&trace, &plan, &imp, &mut fabric::Null);
+                let r = fabric::replay_scenario(&mut sim, &trace, &plan, &imp);
                 fabric::check_attribution(&r, &topo);
                 prop_assert!(!r.queue_depth.is_empty(), "derated ToR must buffer");
             }
@@ -321,19 +321,35 @@ mod queue {
 mod fabric {
     use super::*;
     use chm_common::{FiveTuple, FlowId};
-    use chm_netsim::sim::{EdgeHooks, EpochReport, Routable};
+    use chm_netsim::sim::{EpochReport, Routable};
     use chm_netsim::{
-        CongestionModel, Derate, ImpairmentSet, SimConfig, Simulator,
+        CongestionModel, Derate, EdgeSite, ImpairmentSet, SimConfig, Simulator, SiteArray,
     };
     use chm_workloads::{testbed_trace, LossPlan, VictimSelection, WorkloadKind};
 
-    /// Hooks that ignore everything (ground truth is what's under test).
+    /// A site that ignores everything (ground truth is what's under test).
+    #[derive(Clone, Copy)]
     pub struct Null;
-    impl EdgeHooks<FiveTuple> for Null {
-        fn on_ingress(&mut self, _e: usize, _f: &FiveTuple, _ts: u8) -> u8 {
+    impl EdgeSite<FiveTuple> for Null {
+        fn site_ingress(&mut self, _f: &FiveTuple, _ts: u8) -> u8 {
             0
         }
-        fn on_egress(&mut self, _e: usize, _f: &FiveTuple, _ts: u8, _tag: u8) {}
+        fn site_egress(&mut self, _f: &FiveTuple, _ts: u8, _tag: u8) {}
+        fn site_ingress_burst(&mut self, _f: &FiveTuple, _ts: u8, pkts: u64) -> [(u8, u64); 3] {
+            [(0, pkts), (0, 0), (0, 0)]
+        }
+        fn site_egress_burst(&mut self, _f: &FiveTuple, _ts: u8, _tag: u8, _n: u64) {}
+    }
+
+    /// Per-packet scenario replay of one epoch into [`Null`] sites.
+    pub fn replay_scenario(
+        sim: &mut Simulator,
+        trace: &chm_workloads::Trace<FiveTuple>,
+        plan: &LossPlan<FiveTuple>,
+        imp: &ImpairmentSet,
+    ) -> EpochReport<FiveTuple> {
+        let mut sites = vec![Null; sim.topology.n_edges()];
+        sim.run_epoch_scenario(trace, plan, imp, &mut SiteArray(&mut sites))
     }
 
     fn congested_imp(seed: u64, derate: Derate) -> ImpairmentSet {
@@ -381,7 +397,7 @@ mod fabric {
             let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.05), 0.05, seed);
             let mut sim = Simulator::new(topo.clone(), SimConfig { epoch_ms: 50.0, seed });
             for _ in 0..2 {
-                let r = sim.run_epoch_scenario(&trace, &plan, &imp, &mut Null);
+                let r = replay_scenario(&mut sim, &trace, &plan, &imp);
                 check_attribution(&r, &topo);
             }
         }
@@ -419,7 +435,7 @@ mod fabric {
             {
                 let mut sim =
                     Simulator::new(topo.clone(), SimConfig { epoch_ms: 50.0, seed });
-                let r = sim.run_epoch_scenario(&trace, &LossPlan::none(), imp, &mut Null);
+                let r = replay_scenario(&mut sim, &trace, &LossPlan::none(), imp);
                 check_attribution(&r, &topo);
                 drops[i] = r.dropped_at.get(&culprit).copied().unwrap_or(0);
             }
@@ -553,7 +569,7 @@ mod zoo {
                 let mut sim =
                     Simulator::new(topo.clone(), SimConfig { epoch_ms: 50.0, seed });
                 for _ in 0..2 {
-                    let r = sim.run_epoch_scenario(&trace, &plan, &imp, &mut fabric::Null);
+                    let r = fabric::replay_scenario(&mut sim, &trace, &plan, &imp);
                     fabric::check_attribution(&r, &topo);
                 }
             }

@@ -1,7 +1,8 @@
-//! Differential suite for the sharded epoch pipeline: every replay path ×
-//! every topology variant must produce byte-identical reports and edge
-//! state at any shard/worker layout, and the fragment merge must be
-//! invariant under fragment permutation.
+//! Differential suite for the sharded epoch pipeline: on every replay path
+//! × every topology variant, the sharded burst engine must reproduce the
+//! serial per-packet oracle's reports and edge state byte for byte at any
+//! shard/worker layout, and the fragment merge must be invariant under
+//! fragment permutation.
 //!
 //! The in-crate unit tests pin the same property on the testbed fabric;
 //! this suite widens the fabric axis to the full topology zoo (testbed,
@@ -107,18 +108,18 @@ fn impairments() -> ImpairmentSet {
     }
 }
 
-/// The four replay paths, dispatched uniformly so one loop covers them all.
+/// The engine's two replay paths, dispatched uniformly so one loop covers
+/// them both.
 #[derive(Clone, Copy, Debug)]
 enum Path {
     Clean,
-    CleanBurst,
     Scenario,
-    ScenarioBurst,
 }
 
-const PATHS: [Path; 4] = [Path::Clean, Path::CleanBurst, Path::Scenario, Path::ScenarioBurst];
+const PATHS: [Path; 2] = [Path::Clean, Path::Scenario];
 
-fn run_unsharded(
+/// The serial per-packet oracle: one site call per packet, trace order.
+fn run_serial(
     path: Path,
     sim: &mut Simulator,
     trace: &Trace<FiveTuple>,
@@ -126,12 +127,10 @@ fn run_unsharded(
     imp: &ImpairmentSet,
     edges: &mut [Site],
 ) -> EpochReport<FiveTuple> {
-    let mut hooks = SiteArray(edges);
+    let mut sites = SiteArray(edges);
     match path {
-        Path::Clean => sim.run_epoch(trace, plan, &mut hooks),
-        Path::CleanBurst => sim.run_epoch_burst(trace, plan, &mut hooks),
-        Path::Scenario => sim.run_epoch_scenario(trace, plan, imp, &mut hooks),
-        Path::ScenarioBurst => sim.run_epoch_burst_scenario(trace, plan, imp, &mut hooks),
+        Path::Clean => sim.run_epoch(trace, plan, &mut sites),
+        Path::Scenario => sim.run_epoch_scenario(trace, plan, imp, &mut sites),
     }
 }
 
@@ -145,17 +144,16 @@ fn run_sharded(
     edges: &mut [Site],
 ) -> EpochReport<FiveTuple> {
     match path {
-        Path::Clean => eng.run_epoch(sim, trace, plan, edges),
-        Path::CleanBurst => eng.run_epoch_burst(sim, trace, plan, edges),
-        Path::Scenario => eng.run_epoch_scenario(sim, trace, plan, imp, edges),
-        Path::ScenarioBurst => eng.run_epoch_burst_scenario(sim, trace, plan, imp, edges),
+        Path::Clean => eng.run_epoch_burst(sim, trace, plan, edges),
+        Path::Scenario => eng.run_epoch_burst_scenario(sim, trace, plan, imp, edges),
     }
 }
 
-/// Every path × every fabric × every shard/worker layout reproduces the
-/// unsharded replay exactly: same report, same per-edge state, same epoch
-/// counter. Two epochs per configuration so the second epoch runs on
-/// reused (dirty) engine scratch.
+/// Every path × every fabric × every shard/worker layout of the sharded
+/// burst engine reproduces the serial per-packet replay exactly: same
+/// report, same per-edge state, same epoch counter. Two epochs per
+/// configuration so the second epoch runs on reused (dirty) engine
+/// scratch.
 #[test]
 fn all_paths_match_unsharded_on_every_fabric() {
     for (name, topo) in fabrics() {
@@ -167,7 +165,7 @@ fn all_paths_match_unsharded_on_every_fabric() {
             let mut ref_sites = sites(topo.n_edges());
             let mut ref_reports = Vec::new();
             for _ in 0..2 {
-                ref_reports.push(run_unsharded(
+                ref_reports.push(run_serial(
                     path,
                     &mut sim_ref,
                     &trace,

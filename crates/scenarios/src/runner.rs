@@ -5,10 +5,11 @@
 //! truth.
 //!
 //! The stack mirrors `chamelemon::ChameleMon` but keeps every stage
-//! explicit so the differential tests can compare the per-packet and burst
-//! replay paths epoch by epoch: [`ScenarioStack::step_epoch`] returns the
-//! epoch's ground truth, the collected sketch groups of **all** switches
-//! (before report loss filters them), and the controller's decoded view.
+//! explicit so the differential tests can compare the serial per-packet
+//! oracle with the burst engine epoch by epoch:
+//! [`ScenarioStack::step_epoch`] returns the epoch's ground truth, the
+//! collected sketch groups of **all** switches (before report loss filters
+//! them), and the controller's decoded view.
 
 use crate::Scenario;
 use chamelemon::config::DataPlaneConfig;
@@ -29,10 +30,11 @@ use std::collections::{HashMap, HashSet};
 /// contract the impairment layer preserves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayMode {
-    /// One hook call per packet ([`Simulator::run_epoch_scenario`]).
+    /// The serial per-packet oracle: one site call per packet
+    /// ([`Simulator::run_epoch_scenario`]).
     PerPacket,
-    /// One hook call per flow segment
-    /// ([`Simulator::run_epoch_burst_scenario`]).
+    /// The production engine: one site call per flow segment
+    /// ([`ShardedReplay::run_epoch_burst_scenario`]).
     Burst,
 }
 
@@ -168,11 +170,9 @@ pub struct ScenarioStack {
     lr_localizer: Localizer,
     /// The FlowRadar comparison track's localizer.
     fr_localizer: Localizer,
-    /// When set, epochs replay through the sharded engine instead of the
-    /// serial paths — byte-identical output at any shard/worker count (the
-    /// `sharded_matrix` differential suite pins it), so this is purely an
-    /// execution-strategy knob.
-    sharded: Option<ShardedReplay<FiveTuple>>,
+    /// The replay engine [`ReplayMode::Burst`] epochs run on (one shard
+    /// unless [`set_sharding`](Self::set_sharding) says otherwise).
+    engine: ShardedReplay<FiveTuple>,
 }
 
 impl ScenarioStack {
@@ -201,15 +201,16 @@ impl ScenarioStack {
                 topology,
                 SimConfig { epoch_ms: 50.0, seed: s.seed ^ 0x51b },
             ),
-            sharded: None,
+            engine: ShardedReplay::new(Sharding::single()),
         }
     }
 
-    /// Replays subsequent epochs through the sharded engine with `sharding`.
-    /// Output is byte-identical to the serial paths at any layout; the knob
-    /// only changes how the replay work is scheduled.
+    /// Replaces the replay engine with one laid out as `sharding`. Output
+    /// is byte-identical at any layout (the `sharded_matrix` differential
+    /// suite pins it); the knob only changes how burst replay work is
+    /// scheduled. [`ReplayMode::PerPacket`] epochs never use the engine.
     pub fn set_sharding(&mut self, sharding: Sharding) {
-        self.sharded = Some(ShardedReplay::new(sharding));
+        self.engine = ShardedReplay::new(sharding);
     }
 
     /// Runs one epoch of `s` under `mode`: evolve the workload, replay with
@@ -225,38 +226,20 @@ impl ScenarioStack {
         let epoch = self.simulator.current_epoch();
         let trace = s.trace_for_epoch(base, epoch);
         let plan = s.plan_for_epoch(&trace, epoch);
-        let report = match (&mut self.sharded, mode) {
-            (Some(eng), ReplayMode::PerPacket) => eng.run_epoch_scenario(
+        let report = match mode {
+            ReplayMode::PerPacket => self.simulator.run_epoch_scenario(
+                &trace,
+                &plan,
+                &s.impairments,
+                &mut SiteArray(&mut self.edges),
+            ),
+            ReplayMode::Burst => self.engine.run_epoch_burst_scenario(
                 &mut self.simulator,
                 &trace,
                 &plan,
                 &s.impairments,
                 &mut self.edges,
             ),
-            (Some(eng), ReplayMode::Burst) => eng.run_epoch_burst_scenario(
-                &mut self.simulator,
-                &trace,
-                &plan,
-                &s.impairments,
-                &mut self.edges,
-            ),
-            (None, mode) => {
-                let mut hooks = SiteArray(&mut self.edges);
-                match mode {
-                    ReplayMode::PerPacket => self.simulator.run_epoch_scenario(
-                        &trace,
-                        &plan,
-                        &s.impairments,
-                        &mut hooks,
-                    ),
-                    ReplayMode::Burst => self.simulator.run_epoch_burst_scenario(
-                        &trace,
-                        &plan,
-                        &s.impairments,
-                        &mut hooks,
-                    ),
-                }
-            }
         };
         let ts_bit = (report.epoch & 1) as u8;
         let collected: Vec<CollectedGroup<FiveTuple>> =

@@ -1,6 +1,6 @@
 //! The differential harness: for **every** scenario in the golden matrix,
-//! the per-packet replay and the burst replay must be observationally
-//! identical — same ground-truth epoch reports, same collected sketch
+//! the serial per-packet oracle and the one-shard burst engine the stack
+//! runs by default must be observationally identical — same ground-truth epoch reports, same collected sketch
 //! state on every edge switch every epoch, same controller decode, same
 //! staged reconfigurations, same scores. This is the PR-2 burst-replay
 //! equivalence contract extended across the full adversarial matrix: it

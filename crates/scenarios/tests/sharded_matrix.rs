@@ -1,28 +1,28 @@
-//! The sharded differential harness: a [`ScenarioStack`] running on the
-//! sharded epoch pipeline (`set_sharding`) must be observationally
-//! identical to the serial stack — same ground-truth reports, same
-//! collected sketch state on every edge every epoch, same decode,
+//! The sharded differential harness: a [`ScenarioStack`] replaying bursts
+//! on a multi-shard engine (`set_sharding`) must be observationally
+//! identical to the serial per-packet oracle — same ground-truth reports,
+//! same collected sketch state on every edge every epoch, same decode,
 //! localization, staged reconfigurations, and scores — for **every**
 //! scenario in the golden matrix, on **every** fabric of the topology
-//! zoo, in **both** replay modes, at any shard/worker layout.
+//! zoo, at any shard/worker layout.
 
 use chm_netsim::Sharding;
 use chm_scenarios::{standard_matrix, ReplayMode, Scenario, ScenarioStack, TopologySpec};
 use chm_workloads::VictimSelection;
 
-/// Steps the serial and sharded stacks epoch by epoch and asserts
-/// bit-identical observables throughout.
-fn assert_sharded_identical(s: &Scenario, sharding: Sharding, mode: ReplayMode) {
+/// Steps the serial per-packet stack and the sharded burst stack epoch by
+/// epoch and asserts bit-identical observables throughout.
+fn assert_sharded_identical(s: &Scenario, sharding: Sharding) {
     let mut serial = ScenarioStack::new(s);
     let mut sharded = ScenarioStack::new(s);
     sharded.set_sharding(sharding);
     let base = s.base_trace();
     for _ in 0..s.epochs {
-        let a = serial.step_epoch(s, &base, mode);
-        let b = sharded.step_epoch(s, &base, mode);
+        let a = serial.step_epoch(s, &base, ReplayMode::PerPacket);
+        let b = sharded.step_epoch(s, &base, ReplayMode::Burst);
         let e = a.report.epoch;
         let name = &s.name;
-        let tag = format!("{name} e{e} {mode:?} {sharding:?}");
+        let tag = format!("{name} e{e} {sharding:?}");
         assert_eq!(a.report, b.report, "{tag}: epoch report");
         assert_eq!(a.received, b.received, "{tag}: report-loss mask");
         assert_eq!(a.collected.len(), b.collected.len(), "{tag}: edge count");
@@ -52,15 +52,13 @@ fn shrink(mut s: Scenario) -> Scenario {
     s
 }
 
-/// Every scenario of the golden adversarial matrix, both replay modes, on
-/// a shard count that does not divide the edge count (the asymmetric case)
-/// with more workers than the host has cores.
+/// Every scenario of the golden adversarial matrix, on a shard count that
+/// does not divide the edge count (the asymmetric case) with more workers
+/// than the host has cores.
 #[test]
 fn sharded_stack_matches_serial_across_the_whole_matrix() {
     for s in standard_matrix(true).into_iter().map(shrink) {
-        for mode in [ReplayMode::PerPacket, ReplayMode::Burst] {
-            assert_sharded_identical(&s, Sharding { shards: 3, workers: 2 }, mode);
-        }
+        assert_sharded_identical(&s, Sharding { shards: 3, workers: 2 });
     }
 }
 
@@ -94,11 +92,8 @@ fn sharded_stack_matches_serial_on_every_sweep_fabric() {
             _ => b.derate_switch(chm_netsim::SwitchRole::Core, 0, 0.3),
         }
         .build();
-        for sharding in [Sharding::of(2), Sharding { shards: 5, workers: 2 }] {
-            assert_sharded_identical(&s, sharding, ReplayMode::Burst);
+        for sharding in [Sharding::of(2), Sharding::of(3), Sharding { shards: 5, workers: 2 }] {
+            assert_sharded_identical(&s, sharding);
         }
-        // Per-packet on one sharding keeps the fabric axis covered in both
-        // modes without doubling the suite's runtime.
-        assert_sharded_identical(&s, Sharding::of(3), ReplayMode::PerPacket);
     }
 }

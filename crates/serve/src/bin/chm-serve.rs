@@ -18,9 +18,12 @@
 //!
 //! The process is fully deterministic: same flags, same bytes. It reads
 //! no clock — real-time latency measurement lives in `chm-bench soak`.
-//! `--shards <n>` replays each epoch through the sharded engine; the
-//! metrics stream (and any snapshot) is byte-identical at every shard
-//! count, so the flag only changes how the replay work is scheduled.
+//! Every epoch replays through the sharded engine, one shard by default;
+//! `--shards <n>` splits it into `n` shards on `n` workers. The metrics
+//! stream (and any snapshot) is byte-identical at every shard count, so
+//! the flag only changes how the replay work is scheduled. A snapshot
+//! whose runtimes are invalid for the scenario's data-plane configuration
+//! is refused with an error (exit status 1) before any epoch is served.
 //!
 //! Telemetry sinks (`chm_obs`): `--metrics-out <path>` appends one JSONL
 //! line per epoch (`{"epoch":N,"metrics":{...},"spans":{...}}` — the flat
@@ -160,7 +163,8 @@ fn main() {
             .unwrap_or_else(|e| fail(format!("could not read snapshot {path}: {e}")));
         let snap = ServeSnapshot::parse(&text)
             .unwrap_or_else(|e| fail(format!("could not parse snapshot {path}: {e}")));
-        rt.restore(&snap);
+        rt.restore(&snap)
+            .unwrap_or_else(|e| fail(format!("could not restore snapshot {path}: {e}")));
     }
 
     let stdout = std::io::stdout();

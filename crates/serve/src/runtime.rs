@@ -33,8 +33,8 @@ use chamelemon::{
 };
 use chm_common::FiveTuple;
 use chm_netsim::sim::EpochReport;
-use chm_netsim::{ShardedReplay, Sharding, SimConfig, Simulator, SiteArray};
-use chm_scenarios::{localization_hits, EpochStream, ReplayMode, Scenario, CFG_SALT};
+use chm_netsim::{ShardedReplay, Sharding, SimConfig, Simulator};
+use chm_scenarios::{localization_hits, EpochStream, Scenario, CFG_SALT};
 
 use crate::fault::{EpochFaults, FaultPlan, ReportFate};
 use crate::metrics::EpochRecord;
@@ -55,8 +55,6 @@ pub struct ServeConfig {
     pub scenario: Scenario,
     /// The control-plane fault model.
     pub faults: FaultPlan,
-    /// Replay mode (burst by default; per-packet for differential runs).
-    pub mode: ReplayMode,
     /// Bounded collection inbox: at most this many reports are accepted
     /// per epoch; `None` sizes it to the edge count (no backpressure).
     pub inbox_capacity: Option<usize>,
@@ -67,14 +65,13 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Service defaults over `scenario` and `faults`: burst replay, inbox
-    /// sized to the topology, degrade after 4 bad epochs, recover after 2
-    /// good ones (growing).
+    /// Service defaults over `scenario` and `faults`: inbox sized to the
+    /// topology, degrade after 4 bad epochs, recover after 2 good ones
+    /// (growing).
     pub fn new(scenario: Scenario, faults: FaultPlan) -> Self {
         ServeConfig {
             scenario,
             faults,
-            mode: ReplayMode::Burst,
             inbox_capacity: None,
             stall_threshold: 4,
             base_recovery: 2,
@@ -106,10 +103,11 @@ pub struct ServeRuntime {
     simulator: Simulator,
     watchdog: Watchdog,
     last_good: RuntimeConfig,
-    /// When set, epochs replay through the sharded engine — byte-identical
-    /// output at any layout, so this is never part of a snapshot (execution
-    /// strategy, not stream state).
-    sharded: Option<ShardedReplay<FiveTuple>>,
+    /// The replay engine (one shard unless
+    /// [`set_sharding`](Self::set_sharding) says otherwise) — byte-identical
+    /// output at any layout, so its layout is never part of a snapshot
+    /// (execution strategy, not stream state).
+    engine: ShardedReplay<FiveTuple>,
     /// Telemetry (metric registry + span tree), fed once per epoch. Like a
     /// restarted Prometheus target, this is process-lifetime state — it is
     /// deliberately *not* part of a [`ServeSnapshot`] and restarts at zero.
@@ -145,7 +143,7 @@ impl ServeRuntime {
             simulator,
             watchdog,
             last_good: runtime,
-            sharded: None,
+            engine: ShardedReplay::new(Sharding::single()),
             obs: ServeObs::new(),
         }
     }
@@ -156,11 +154,11 @@ impl ServeRuntime {
         &self.obs
     }
 
-    /// Replays subsequent epochs through the sharded engine with `sharding`.
-    /// The metrics stream stays byte-identical at any shard/worker count;
-    /// snapshots taken under sharding restore into any other layout.
+    /// Replaces the replay engine with one laid out as `sharding`. The
+    /// metrics stream stays byte-identical at any shard/worker count;
+    /// snapshots taken under one layout restore into any other.
     pub fn set_sharding(&mut self, sharding: Sharding) {
-        self.sharded = Some(ShardedReplay::new(sharding));
+        self.engine = ShardedReplay::new(sharding);
     }
 
     /// The epoch [`step`](Self::step) will serve next.
@@ -194,40 +192,13 @@ impl ServeRuntime {
         self.obs.spans.enter("epoch", &mut zero);
 
         // 1. Replay through the fabric and the edge data planes.
-        let imp = &self.serve.scenario.impairments;
-        let report = match (&mut self.sharded, self.serve.mode) {
-            (Some(eng), ReplayMode::PerPacket) => eng.run_epoch_scenario(
-                &mut self.simulator,
-                &trace,
-                &plan,
-                imp,
-                &mut self.edges,
-            ),
-            (Some(eng), ReplayMode::Burst) => eng.run_epoch_burst_scenario(
-                &mut self.simulator,
-                &trace,
-                &plan,
-                imp,
-                &mut self.edges,
-            ),
-            (None, mode) => {
-                let mut hooks = SiteArray(&mut self.edges);
-                match mode {
-                    ReplayMode::PerPacket => self.simulator.run_epoch_scenario(
-                        &trace,
-                        &plan,
-                        imp,
-                        &mut hooks,
-                    ),
-                    ReplayMode::Burst => self.simulator.run_epoch_burst_scenario(
-                        &trace,
-                        &plan,
-                        imp,
-                        &mut hooks,
-                    ),
-                }
-            }
-        };
+        let report = self.engine.run_epoch_burst_scenario(
+            &mut self.simulator,
+            &trace,
+            &plan,
+            &self.serve.scenario.impairments,
+            &mut self.edges,
+        );
         let ts_bit = (report.epoch & 1) as u8;
         self.obs.spans.record(&["replay"], 0.0);
 
@@ -408,7 +379,19 @@ impl ServeRuntime {
     /// [`ServeConfig`]. After this, the stream of [`step`](Self::step)
     /// results — decisions *and* metrics bytes — is identical to the
     /// uninterrupted run's.
-    pub fn restore(&mut self, snap: &ServeSnapshot) {
+    ///
+    /// A snapshot parses from outside input, so its runtimes are checked
+    /// against this runtime's data-plane configuration first: an invalid
+    /// `deployed` or `last_good` runtime returns `Err` and leaves the
+    /// runtime exactly as it was.
+    pub fn restore(&mut self, snap: &ServeSnapshot) -> Result<(), String> {
+        snap.controller
+            .deployed
+            .validate(&self.cfg)
+            .map_err(|e| format!("deployed runtime: {e}"))?;
+        snap.last_good
+            .validate(&self.cfg)
+            .map_err(|e| format!("last_good runtime: {e}"))?;
         self.controller.restore(&snap.controller);
         self.watchdog.restore(&snap.watchdog);
         self.last_good = snap.last_good;
@@ -417,6 +400,7 @@ impl ServeRuntime {
         for e in &mut self.edges {
             *e = EdgeDataPlane::new(self.cfg.clone(), deployed);
         }
+        Ok(())
     }
 }
 

@@ -33,10 +33,10 @@ fn telemetry_after(epochs: u64, shards: Option<usize>) -> (String, String) {
 
 #[test]
 fn telemetry_is_byte_identical_across_runs_and_shard_layouts() {
-    let serial = telemetry_after(24, None);
-    assert_eq!(serial, telemetry_after(24, None), "double run must match");
-    assert_eq!(serial, telemetry_after(24, Some(1)), "shards=1 must match serial");
-    assert_eq!(serial, telemetry_after(24, Some(2)), "shards=2 must match serial");
+    let default = telemetry_after(24, None);
+    assert_eq!(default, telemetry_after(24, None), "double run must match");
+    assert_eq!(default, telemetry_after(24, Some(1)), "shards=1 must match the default");
+    assert_eq!(default, telemetry_after(24, Some(2)), "shards=2 must match the default");
 }
 
 #[test]

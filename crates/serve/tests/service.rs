@@ -2,6 +2,7 @@
 //! degradation under sustained faults, backpressure, and stream
 //! determinism — the tentpole properties of `chm-serve`.
 
+use chm_netsim::Sharding;
 use chm_scenarios::Scenario;
 use chm_serve::{
     EpochRecord, FaultPlan, ServeConfig, ServeRuntime, ServeSnapshot, ServeState,
@@ -57,7 +58,7 @@ fn crash_restore_at_every_boundary_is_byte_identical() {
         // New process: parse, restore, continue.
         let snap = ServeSnapshot::parse(&wire).expect("snapshot parses");
         let mut second = ServeRuntime::new(cfg.clone());
-        second.restore(&snap);
+        second.restore(&snap).expect("snapshot restores");
         assert_eq!(second.next_epoch(), k, "restore must reposition the stream");
         let suffix = run_epochs(&mut second, EPOCHS - k);
 
@@ -67,6 +68,74 @@ fn crash_restore_at_every_boundary_is_byte_identical() {
             jsonl(&combined),
             baseline_jsonl,
             "restore at epoch {k} diverged from the uninterrupted run"
+        );
+    }
+}
+
+/// The replay engine's layout is execution strategy, not stream state:
+/// the default one-shard engine and a 3-shard, 2-worker engine serve the
+/// same records, including across a snapshot/restore boundary in either
+/// direction.
+#[test]
+fn default_and_sharded_engines_agree_across_restore() {
+    const EPOCHS: u64 = 12;
+    const CUT: u64 = 5;
+    let cfg = ServeConfig::new(scenario(37), FaultPlan::standard(37));
+    let runtime = |sharded: bool| {
+        let mut rt = ServeRuntime::new(cfg.clone());
+        if sharded {
+            rt.set_sharding(Sharding { shards: 3, workers: 2 });
+        }
+        rt
+    };
+    let baseline = jsonl(&run_epochs(&mut runtime(false), EPOCHS));
+    assert_eq!(jsonl(&run_epochs(&mut runtime(true), EPOCHS)), baseline);
+    for (before, after) in [(true, false), (false, true), (true, true)] {
+        let mut first = runtime(before);
+        let mut records = run_epochs(&mut first, CUT);
+        let snap = ServeSnapshot::parse(&first.snapshot().serialize()).expect("parses");
+        let mut second = runtime(after);
+        second.restore(&snap).expect("snapshot restores");
+        records.extend(run_epochs(&mut second, EPOCHS - CUT));
+        assert_eq!(
+            jsonl(&records),
+            baseline,
+            "sharded before the cut: {before}, after: {after}"
+        );
+    }
+}
+
+/// Snapshots are outside input: one that parses but carries a runtime the
+/// data plane cannot deploy is refused with `Err`, and the refusing runtime
+/// is left exactly as it was — its next record equals an untouched one's.
+#[test]
+fn invalid_snapshot_runtimes_are_refused_without_side_effects() {
+    let cfg = ServeConfig::new(scenario(31), FaultPlan::standard(31));
+    let mut donor = ServeRuntime::new(cfg.clone());
+    run_epochs(&mut donor, 6);
+    let good = donor.snapshot();
+    let mut off_by_one = good.clone();
+    off_by_one.controller.deployed.partition.m_hh += 1;
+    let mut deployed_tl = good.clone();
+    deployed_tl.controller.deployed.tl = deployed_tl.controller.deployed.th + 1;
+    let mut last_good_tl = good.clone();
+    last_good_tl.last_good.tl = last_good_tl.last_good.th + 1;
+    for (what, bad) in [
+        ("off-by-one partition", off_by_one),
+        ("deployed tl > th", deployed_tl),
+        ("last_good tl > th", last_good_tl),
+    ] {
+        let snap = ServeSnapshot::parse(&bad.serialize()).expect("still parses");
+        let mut rt = ServeRuntime::new(cfg.clone());
+        let mut untouched = ServeRuntime::new(cfg.clone());
+        run_epochs(&mut rt, 2);
+        run_epochs(&mut untouched, 2);
+        assert!(rt.restore(&snap).is_err(), "{what} must be refused");
+        assert_eq!(rt.next_epoch(), 2, "{what}: stream position moved");
+        assert_eq!(
+            rt.step().to_jsonl(),
+            untouched.step().to_jsonl(),
+            "{what}: refused restore changed the runtime"
         );
     }
 }
@@ -114,7 +183,7 @@ fn sustained_pauses_degrade_then_service_recovers() {
         scenario(13),
         FaultPlan::none(13),
     ));
-    healed.restore(&snap);
+    healed.restore(&snap).expect("snapshot restores");
     let after = run_epochs(&mut healed, 4);
     assert_eq!(after[0].state, "degraded", "recovery needs consecutive proof");
     assert_eq!(healed.state(), ServeState::Live, "service must self-heal");
