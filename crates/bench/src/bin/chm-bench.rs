@@ -10,11 +10,11 @@
 //! chm-bench profile [--quick] [--workers <n>] [--seed <s>] [--out <dir>]
 //! ```
 //!
-//! `perf` measures the hot-path packet engine (packets/sec, decode latency)
-//! against the in-tree legacy replica of the pre-fast-path implementation,
-//! then sweeps the sharded epoch pipeline across thread counts (`--threads`
-//! takes a comma list like `1,2,4,8` or `auto` for a doubling ladder up to
-//! the machine) and writes the combined schema-v2 table to
+//! `perf` measures the hot-path packet engine in absolute terms
+//! (packets/sec, batched hashing, decode latency), then sweeps the sharded
+//! epoch pipeline across thread counts (`--threads` takes a comma list
+//! like `1,2,4,8` or `auto` for a doubling ladder up to the machine) and
+//! writes the combined schema-v3 table to
 //! `results/BENCH_hotpath.json` plus one thread-count-independent
 //! `SHARD_DIGEST_T<t>.json` per swept count (see `chm_bench::perf`). Every
 //! sweep pass is cross-checked against the unsharded replay — reports and
@@ -35,7 +35,9 @@
 //! mean/σ confidence bands (byte-identical at any worker count).
 //! `--check <golden.json>` is the CI threshold gate: exit 1 when any
 //! scenario's mean F1 or localization top-3 hit rate regressed more than
-//! the tolerance vs the committed golden.
+//! the tolerance vs the committed golden, or when the golden itself does
+//! not parse (a gate value that is not a number, a scenario without
+//! `mean_f1`).
 //!
 //! `profile` drives the congested serve preset through the sharded engine
 //! with the `chm_obs` span profiler under a real clock and writes the
@@ -166,20 +168,26 @@ fn main() {
                 eprintln!("error: could not write {out_dir}/BENCH_hotpath.json: {e}");
                 std::process::exit(1);
             }
-            let row = &table.rows[0];
-            let speedup = row[2];
+            let col = |row: &[f64], name: &str| {
+                row[table.column(name).expect("perf::run emits every summary column")]
+            };
+            let engine = &table.rows[0];
             eprintln!(
-                "\nreplay: {:.2} Mpps legacy -> {:.2} Mpps fast ({speedup:.2}x); \
+                "\nreplay: {:.2} Mpps; loaded decode {:.3} ms; \
                  json: {out_dir}/BENCH_hotpath.json",
-                row[0] / 1e6,
-                row[1] / 1e6,
+                col(engine, "replay_pps_fast") / 1e6,
+                col(engine, "decode_ms_fast"),
             );
-            // The scaling curve, one line per sweep row (columns 11..).
+            // The scaling curve, one line per sweep row.
             for row in &table.rows[1..] {
                 eprintln!(
                     "scaling: t={} n_flows={} crit {:.2} Mpps ({:.2}x, \
                      efficiency {:.0}%)",
-                    row[11], row[13], row[15] / 1e6, row[16], row[18] * 100.0
+                    col(row, "threads"),
+                    col(row, "n_flows"),
+                    col(row, "sweep_pps_crit") / 1e6,
+                    col(row, "speedup_crit"),
+                    col(row, "scaling_efficiency") * 100.0
                 );
             }
         }
@@ -215,11 +223,17 @@ fn main() {
             // milliseconds, not after a multi-seed full-matrix run.
             let golden = check.map(|golden_path| {
                 match std::fs::read_to_string(&golden_path) {
-                    Ok(g) if !scenarios::parse_golden(&g).is_empty() => (golden_path, g),
-                    Ok(_) => {
-                        eprintln!("error: golden {golden_path} has no scenarios");
-                        std::process::exit(1);
-                    }
+                    Ok(g) => match scenarios::parse_golden(&g) {
+                        Ok(parsed) if !parsed.is_empty() => (golden_path, g),
+                        Ok(_) => {
+                            eprintln!("error: golden {golden_path} has no scenarios");
+                            std::process::exit(1);
+                        }
+                        Err(e) => {
+                            eprintln!("error: golden {golden_path}: {e}");
+                            std::process::exit(1);
+                        }
+                    },
                     Err(e) => {
                         eprintln!("error: could not read golden {golden_path}: {e}");
                         std::process::exit(1);
@@ -248,7 +262,8 @@ fn main() {
                     worst.0.name,
                 );
                 if let Some((golden_path, golden)) = golden {
-                    let problems = sweep::check_sweep(&golden, &run);
+                    let problems =
+                    sweep::check_sweep(&golden, &run).expect("the golden parsed when it was read");
                     if problems.is_empty() {
                         eprintln!(
                             "threshold gate vs {golden_path}: OK (tolerance {})",
@@ -283,7 +298,8 @@ fn main() {
                 worst.name,
             );
             if let Some((golden_path, golden)) = golden {
-                let problems = scenarios::check_regressions(&golden, &run.results);
+                let problems =
+                    scenarios::check_regressions(&golden, &run.results).expect("the golden parsed when it was read");
                 if problems.is_empty() {
                     eprintln!(
                         "threshold gate vs {golden_path}: OK \

@@ -37,6 +37,11 @@ impl Table {
         self.rows.push(row);
     }
 
+    /// Index of the column named `name`, if the table has one.
+    pub fn column(&self, name: &str) -> Option<usize> {
+        self.columns.iter().position(|c| c == name)
+    }
+
     /// Prints an aligned table to stdout.
     pub fn print(&self) {
         println!("\n== {} — {} ==", self.id, self.title);

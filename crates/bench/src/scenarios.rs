@@ -295,43 +295,62 @@ pub struct GoldenScenario {
 /// scenario-level fields are the 6-space-indented `"key": value,` lines
 /// between `"name"` markers (per-epoch lines are indented deeper and never
 /// start with a quoted key at that indent).
-pub fn parse_golden(json: &str) -> Vec<GoldenScenario> {
+///
+/// A gate value that is present but not a finite number is an error, and
+/// so is a scenario without `mean_f1`: either would otherwise gate against
+/// a default of 0 and pass any result. An absent `mean_loc_top3` reads as
+/// 0, as pre-localization goldens lack the field.
+pub fn parse_golden(json: &str) -> Result<Vec<GoldenScenario>, String> {
     let mut out: Vec<GoldenScenario> = Vec::new();
-    for line in json.lines() {
+    for (n, line) in json.lines().enumerate() {
         let Some(rest) = line.strip_prefix("      \"") else { continue };
         let Some((key, value)) = rest.split_once("\": ") else { continue };
         let value = value.trim_end().trim_end_matches(',');
         match key {
+            // NaN marks "no mean_f1 yet": parsed values are finite.
             "name" => out.push(GoldenScenario {
                 name: value.trim_matches('"').to_string(),
-                ..GoldenScenario::default()
+                mean_f1: f64::NAN,
+                mean_loc_top3: 0.0,
             }),
-            "mean_f1" => {
-                if let (Some(g), Ok(v)) = (out.last_mut(), value.parse()) {
+            "mean_f1" | "mean_loc_top3" => {
+                let Some(g) = out.last_mut() else { continue };
+                let v = value.parse::<f64>().ok().filter(|v| v.is_finite()).ok_or_else(|| {
+                    format!(
+                        "line {}: {key} of scenario '{}' is not a number: {value:?}",
+                        n + 1,
+                        g.name
+                    )
+                })?;
+                if key == "mean_f1" {
                     g.mean_f1 = v;
-                }
-            }
-            "mean_loc_top3" => {
-                if let (Some(g), Ok(v)) = (out.last_mut(), value.parse()) {
+                } else {
                     g.mean_loc_top3 = v;
                 }
             }
             _ => {}
         }
     }
-    out
+    match out.iter().find(|g| g.mean_f1.is_nan()) {
+        Some(g) => Err(format!("scenario '{}' has no mean_f1", g.name)),
+        None => Ok(out),
+    }
 }
 
 /// The threshold gate: compares a fresh run against a committed golden and
 /// returns one message per regression beyond [`CHECK_TOLERANCE`] (empty =
 /// gate passes). New scenarios (absent from the golden) are allowed;
-/// scenarios *removed* from the matrix are flagged.
-pub fn check_regressions(golden_json: &str, results: &[ScenarioResult]) -> Vec<String> {
-    let golden = parse_golden(golden_json);
+/// scenarios *removed* from the matrix are flagged. A golden that
+/// [`parse_golden`] rejects is an `Err`.
+pub fn check_regressions(
+    golden_json: &str,
+    results: &[ScenarioResult],
+) -> Result<Vec<String>, String> {
+    let golden = parse_golden(golden_json)?;
     let mut problems = Vec::new();
     if golden.is_empty() {
         problems.push("golden file has no scenarios (wrong file?)".to_string());
-        return problems;
+        return Ok(problems);
     }
     for g in &golden {
         let Some(r) = results.iter().find(|r| r.name == g.name) else {
@@ -351,7 +370,7 @@ pub fn check_regressions(golden_json: &str, results: &[ScenarioResult]) -> Vec<S
             ));
         }
     }
-    problems
+    Ok(problems)
 }
 
 #[cfg(test)]
@@ -398,7 +417,7 @@ mod tests {
     fn golden_roundtrip_and_gate() {
         let r = tiny_run();
         let json = to_json(&r, true);
-        let golden = parse_golden(&json);
+        let golden = parse_golden(&json).unwrap();
         assert_eq!(golden.len(), 1);
         assert_eq!(golden[0].name, "tiny");
         assert!((golden[0].mean_f1 - r.results[0].mean_f1).abs() < 1e-12);
@@ -406,21 +425,71 @@ mod tests {
             (golden[0].mean_loc_top3 - r.results[0].mean_loc_top3).abs() < 1e-12
         );
         // Fresh run vs its own golden: gate passes.
-        assert!(check_regressions(&json, &r.results).is_empty());
+        assert!(check_regressions(&json, &r.results).unwrap().is_empty());
         // A doctored regression fails the gate.
         let mut worse = r.results.clone();
         worse[0].mean_f1 -= 0.1;
-        let problems = check_regressions(&json, &worse);
+        let problems = check_regressions(&json, &worse).unwrap();
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("mean_f1 regressed"));
         // A missing scenario fails the gate.
-        let problems = check_regressions(&json, &[]);
+        let problems = check_regressions(&json, &[]).unwrap();
         assert!(problems[0].contains("disappeared"));
         // Wobble inside the tolerance passes.
         let mut wobble = r.results.clone();
         wobble[0].mean_f1 -= 0.01;
         wobble[0].mean_loc_top3 -= 0.01;
-        assert!(check_regressions(&json, &wobble).is_empty());
+        assert!(check_regressions(&json, &wobble).unwrap().is_empty());
+    }
+
+    #[test]
+    fn unparseable_gate_values_are_errors_not_zero() {
+        let r = tiny_run();
+        let json = to_json(&r, true);
+        let line_of = |key: &str| {
+            json.lines()
+                .find(|l| l.starts_with(&format!("      \"{key}\": ")))
+                .unwrap_or_else(|| panic!("golden has a {key} line"))
+                .to_string()
+        };
+        for key in ["mean_f1", "mean_loc_top3"] {
+            let line = line_of(key);
+            for bad in ["0.9x", "null", "NaN", "inf", ""] {
+                let doctored = json.replace(&line, &format!("      \"{key}\": {bad},"));
+                let err = parse_golden(&doctored).unwrap_err();
+                assert!(err.contains(key) && err.contains("tiny"), "{err}");
+                // The gate refuses instead of comparing against 0.
+                assert!(check_regressions(&doctored, &r.results).is_err());
+            }
+        }
+        // A scenario without mean_f1 is an error...
+        let no_f1 = json.replace(&format!("{}\n", line_of("mean_f1")), "");
+        assert!(parse_golden(&no_f1).unwrap_err().contains("no mean_f1"));
+        // ...but an absent mean_loc_top3 reads as 0 (pre-localization
+        // goldens lack the field).
+        let no_loc = json.replace(&format!("{}\n", line_of("mean_loc_top3")), "");
+        let golden = parse_golden(&no_loc).unwrap();
+        assert_eq!(golden[0].mean_loc_top3, 0.0);
+        assert_eq!(golden[0].mean_f1, r.results[0].mean_f1);
+    }
+
+    #[test]
+    fn committed_goldens_parse() {
+        // The topology sweep writes the same scenario-line format.
+        for file in [
+            "SCENARIOS.json",
+            "SCENARIOS_quick.json",
+            "TOPOLOGY_SWEEP.json",
+            "TOPOLOGY_SWEEP_quick.json",
+        ] {
+            let path = format!("{}/../../results/{file}", env!("CARGO_MANIFEST_DIR"));
+            let json = std::fs::read_to_string(&path).unwrap();
+            let golden = parse_golden(&json).unwrap_or_else(|e| panic!("{file}: {e}"));
+            assert!(!golden.is_empty(), "{file}");
+            for g in &golden {
+                assert!(g.mean_f1 > 0.0 && g.mean_loc_top3 > 0.0, "{file}: {g:?}");
+            }
+        }
     }
 
     #[test]

@@ -222,8 +222,9 @@ pub fn write_json(run: &SweepRun, quick: bool, dir: impl AsRef<Path>) -> io::Res
 }
 
 /// The sweep threshold gate: delegates to the scenario gate (the golden
-/// format is shared), tolerance [`crate::scenarios::CHECK_TOLERANCE`].
-pub fn check_sweep(golden_json: &str, run: &SweepRun) -> Vec<String> {
+/// format is shared), tolerance [`crate::scenarios::CHECK_TOLERANCE`]. A
+/// golden that [`crate::scenarios::parse_golden`] rejects is an `Err`.
+pub fn check_sweep(golden_json: &str, run: &SweepRun) -> Result<Vec<String>, String> {
     let results: Vec<ScenarioResult> =
         run.rows.iter().map(|(_, r)| r.clone()).collect();
     check_regressions(golden_json, &results)
@@ -289,15 +290,15 @@ mod tests {
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(j1.matches(open).count(), j1.matches(close).count());
         }
-        let golden = parse_golden(&j1);
+        let golden = parse_golden(&j1).unwrap();
         assert_eq!(golden.len(), 1);
         assert_eq!(golden[0].name, "fat-tree-k4");
         assert!((golden[0].mean_f1 - run.rows[0].1.mean_f1).abs() < 1e-12);
         // Fresh run vs its own golden: the gate passes.
-        assert!(check_sweep(&j1, &run).is_empty());
+        assert!(check_sweep(&j1, &run).unwrap().is_empty());
         // A doctored regression fails it.
         let mut worse = run.clone();
         worse.rows[0].1.mean_f1 -= 0.1;
-        assert_eq!(check_sweep(&j1, &worse).len(), 1);
+        assert_eq!(check_sweep(&j1, &worse).unwrap().len(), 1);
     }
 }

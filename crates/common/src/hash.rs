@@ -116,9 +116,8 @@ impl PairwiseHash {
     }
 
     /// The original `mod m` range reduction, kept as the reference
-    /// implementation for the fast-range property tests and the
-    /// `chm-bench perf` legacy baseline. Semantically a valid index
-    /// function, but pays a 64-bit integer division per call.
+    /// implementation for the fast-range property tests. Semantically a
+    /// valid index function, but pays a 64-bit integer division per call.
     #[inline]
     pub fn index_mod(&self, key: u64, m: usize) -> usize {
         debug_assert!(m > 0);

@@ -185,7 +185,11 @@ impl ServeSnapshot {
                         return Err("watchdog needs 4 fields".to_string());
                     }
                     watchdog = Some(WatchdogSnapshot {
-                        degraded: rest[0] == "1",
+                        degraded: match rest[0] {
+                            "0" => false,
+                            "1" => true,
+                            other => return Err(format!("bad watchdog degraded flag {other:?}")),
+                        },
                         consecutive_bad: parse_num(rest[1], "consecutive_bad")?,
                         consecutive_good: parse_num(rest[2], "consecutive_good")?,
                         recovery_needed: parse_num(rest[3], "recovery_needed")?,
@@ -291,5 +295,35 @@ mod tests {
         assert!(ServeSnapshot::parse(&truncated).is_err());
         let bad_key = sample().serialize().replace("watchdog", "watchcat");
         assert!(ServeSnapshot::parse(&bad_key).is_err());
+        // The degraded flag is 0 or 1; anything else is not "false".
+        for flag in ["2", "true", "x"] {
+            let bad_flag = sample().serialize().replace("watchdog 1 ", &format!("watchdog {flag} "));
+            assert!(ServeSnapshot::parse(&bad_flag).is_err(), "{flag}");
+        }
+    }
+
+    #[test]
+    fn truncated_and_mutated_snapshots_never_panic() {
+        let text = sample().serialize();
+        assert!(text.is_ascii() && text.contains("\nblame "), "sample has localizer tables");
+        // Every prefix: Ok or Err, and Err whenever the end line is cut.
+        for cut in 0..=text.len() {
+            let prefix = &text[..cut];
+            let parsed = ServeSnapshot::parse(prefix);
+            if !prefix.lines().any(|l| l == "end") {
+                assert!(parsed.is_err(), "prefix without end parsed: {prefix:?}");
+            }
+        }
+        // Every byte replaced by a few ASCII substitutes: must not panic.
+        let mut bytes = text.clone().into_bytes();
+        for i in 0..bytes.len() {
+            let orig = bytes[i];
+            for sub in [b'0', b'1', b'f', b'z', b':', b'-', b' ', b'\n'] {
+                bytes[i] = sub;
+                let mutated = std::str::from_utf8(&bytes).expect("ASCII stays UTF-8");
+                let _ = ServeSnapshot::parse(mutated);
+            }
+            bytes[i] = orig;
+        }
     }
 }
